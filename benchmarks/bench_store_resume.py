@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.designspace import SweepPoint, run_sweep
+from repro.api import PlannerConfig, sweep
 from repro.store import PlanStore
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -36,12 +37,12 @@ def _cold_warm(points, store_root):
     """Run the sweep cold then warm against one store; return the numbers."""
     store = PlanStore(store_root)
     t0 = time.perf_counter()
-    cold = run_sweep(points, store=store)
+    cold = sweep(points, config=PlannerConfig(store=store))
     cold_s = time.perf_counter() - t0
     cells = store.puts
 
     t0 = time.perf_counter()
-    warm = run_sweep(points, store=store)
+    warm = sweep(points, config=PlannerConfig(store=store))
     warm_s = time.perf_counter() - t0
     return store, cold, cold_s, cells, warm, warm_s
 
@@ -73,7 +74,7 @@ def test_checkpoint_overhead_is_small(tmp_path, report):
 
     store = PlanStore(tmp_path)
     t0 = time.perf_counter()
-    stored = run_sweep(BENCH_POINTS, store=store)
+    stored = sweep(BENCH_POINTS, config=PlannerConfig(store=store))
     stored_s = time.perf_counter() - t0
 
     overhead = (stored_s - plain_s) / plain_s if plain_s > 0 else 0.0

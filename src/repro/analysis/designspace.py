@@ -222,47 +222,17 @@ def _decode_sweep_cell(payload: dict[str, Any]) -> tuple:
         raise ReproError(f"malformed sweep cell: {exc}") from exc
 
 
-# Sentinel distinguishing "caller never passed this keyword" from any real
-# value, so :func:`run_sweep` only warns about explicit legacy usage.
-_UNSET: Any = object()
-
-
 def run_sweep(
     points: Iterable[SweepPoint],
     prices: PriceBook | None = None,
     failure_tolerance: int = 2,
-    jobs: "int | None | Any" = _UNSET,
-    store: "PlanStore | None | Any" = _UNSET,
 ) -> list[SweepRecord]:
-    """Plan and price every scenario (the historical entry point).
+    """Plan and price every scenario with the default execution options.
 
-    .. deprecated::
-        Passing the execution options (``jobs``, ``store``) directly is
-        deprecated in favor of :func:`repro.api.sweep` with a single
-        :class:`repro.api.PlannerConfig`; doing so emits a
-        :class:`DeprecationWarning` but behaves identically. The domain
-        arguments (``points``, ``prices``, ``failure_tolerance``) are
-        not deprecated.
+    :func:`repro.api.sweep` takes the execution options (``jobs``,
+    ``store``, ...) as one :class:`repro.api.PlannerConfig`.
     """
-    explicit = {
-        name: value
-        for name, value in (("jobs", jobs), ("store", store))
-        if value is not _UNSET
-    }
-    if explicit:
-        import warnings
-
-        warnings.warn(
-            "run_sweep's loose execution options ("
-            + ", ".join(sorted(explicit))
-            + ") are deprecated; use repro.api.sweep(points, "
-            "config=PlannerConfig(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _run_sweep(
-        points, prices=prices, failure_tolerance=failure_tolerance, **explicit
-    )
+    return _run_sweep(points, prices=prices, failure_tolerance=failure_tolerance)
 
 
 def _run_sweep(

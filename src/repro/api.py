@@ -12,13 +12,13 @@ entry points::
     records = sweep(points, config=PlannerConfig(jobs=4, store=store))
     outcome = simulate()  # paper-default scenario
 
-Migration from the historical loose-keyword entry points
-(:func:`repro.core.planner.plan_region`,
-:func:`repro.analysis.designspace.run_sweep` — both still work, emitting
-``DeprecationWarning`` when their loose options are passed):
+The historical entry points :func:`repro.core.planner.plan_region` and
+:func:`repro.analysis.designspace.run_sweep` take only their domain
+arguments (the region; the points, prices and failure tolerance). Their
+former loose keywords map onto ``PlannerConfig`` fields:
 
 ===========================  =============================
-old loose keyword            ``PlannerConfig`` field
+former loose keyword         ``PlannerConfig`` field
 ===========================  =============================
 ``jobs=4``                   ``jobs=4``
 ``store=PlanStore(...)``     ``store=PlanStore(...)``

@@ -7,16 +7,13 @@ Typical use::
     result = plan(region, config=PlannerConfig(jobs=4))
     inventory = result.inventory()
 
-:func:`plan_region` remains as the historical loose-keyword entry point;
-passing its keyword options directly now emits a :class:`DeprecationWarning`
-pointing at :func:`repro.api.plan`.
+:func:`plan_region` plans a region with the default options.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.amplifiers import place_amplifiers
@@ -24,7 +21,7 @@ from repro.core.cutthrough import place_cut_throughs
 from repro.core.plan import IrisPlan, TopologyPlan
 from repro.core.residual import residual_fiber_pairs
 from repro.core.engine import CancelToken
-from repro.core.topology import plan_topology
+from repro.core.topology import DuctSizing, plan_topology
 from repro.exceptions import PlanningError, ReproError
 from repro.region.fibermap import RegionSpec
 
@@ -56,6 +53,10 @@ class IrisPlanner:
         boundaries during Algorithm 1's fan-out, so the planner service
         can cancel or time out a job mid-plan (it unwinds with
         :class:`~repro.exceptions.JobCancelled`).
+    ``sizing``
+        Optional :class:`repro.core.topology.DuctSizing` replacing the hose
+        max-flow as Algorithm 1's per-duct need (the robust design's
+        ensemble rule); ``None`` (default) is the paper's hose sizing.
     """
 
     region: RegionSpec
@@ -64,6 +65,7 @@ class IrisPlanner:
     jobs: int | None = 1
     backend: str | None = None
     cancel_token: CancelToken | None = None
+    sizing: DuctSizing | None = None
 
     def plan(self) -> IrisPlan:
         """Produce the full Iris plan for the region."""
@@ -78,6 +80,7 @@ class IrisPlanner:
             jobs=self.jobs,
             backend=self.backend,
             cancel_token=self.cancel_token,
+            sizing=self.sizing,
         )
 
     def plan_from_topology(self, topology: TopologyPlan) -> IrisPlan:
@@ -119,49 +122,13 @@ class IrisPlanner:
         return plan
 
 
-# Sentinel distinguishing "caller never passed this keyword" from any real
-# value, so the deprecation shim below only warns about explicit usage.
-_UNSET: Any = object()
+def plan_region(region: RegionSpec) -> IrisPlan:
+    """Plan ``region`` end to end with the default options.
 
-
-def plan_region(
-    region: RegionSpec,
-    *,
-    prune_enumeration: bool | Any = _UNSET,
-    validate: bool | Any = _UNSET,
-    jobs: "int | None | Any" = _UNSET,
-    store: "PlanStore | None | Any" = _UNSET,
-) -> IrisPlan:
-    """Plan ``region`` end to end (the historical one-call entry point).
-
-    .. deprecated::
-        Passing the loose keyword options (``prune_enumeration``,
-        ``validate``, ``jobs``, ``store``) directly is deprecated in
-        favor of :func:`repro.api.plan` with a single
-        :class:`repro.api.PlannerConfig`; doing so emits a
-        :class:`DeprecationWarning` but behaves identically. A bare
-        ``plan_region(region)`` stays warning-free.
+    :func:`repro.api.plan` takes the options as one
+    :class:`repro.api.PlannerConfig`.
     """
-    explicit = {
-        name: value
-        for name, value in (
-            ("prune_enumeration", prune_enumeration),
-            ("validate", validate),
-            ("jobs", jobs),
-            ("store", store),
-        )
-        if value is not _UNSET
-    }
-    if explicit:
-        warnings.warn(
-            "plan_region's loose keyword options ("
-            + ", ".join(sorted(explicit))
-            + ") are deprecated; use repro.api.plan(region, "
-            "config=PlannerConfig(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _plan_region(region, **explicit)
+    return _plan_region(region)
 
 
 def _plan_region(
@@ -173,12 +140,13 @@ def _plan_region(
     backend: str | None = None,
     store: "PlanStore | None" = None,
     cancel_token: CancelToken | None = None,
+    sizing: DuctSizing | None = None,
 ) -> IrisPlan:
-    """Plan ``region`` end to end (the non-deprecated internal entry point).
+    """Plan ``region`` end to end (the internal entry point).
 
-    :func:`repro.api.plan` is the public face of this function; the
-    parameters mirror :class:`IrisPlanner`'s fields — see there for
-    semantics.
+    :func:`repro.api.plan` and :func:`repro.designs.robust.plan_robust`
+    are the public faces of this function; the parameters mirror
+    :class:`IrisPlanner`'s fields — see there for semantics.
 
     ``store``
         An optional :class:`repro.store.PlanStore`. Plans are pure
@@ -187,7 +155,8 @@ def _plan_region(
         (``plan_to_json`` equality, parity-tested) — and on a miss the
         fresh plan is checkpointed for next time. ``jobs`` and
         ``backend`` are execution details and deliberately not part of
-        the cache key.
+        the cache key; a ``sizing`` supplies its own design name and
+        config entries (:class:`~repro.core.topology.DuctSizing`).
     """
     planner = IrisPlanner(
         region,
@@ -196,6 +165,7 @@ def _plan_region(
         jobs=jobs,
         backend=backend,
         cancel_token=cancel_token,
+        sizing=sizing,
     )
     if store is None:
         return planner.plan()
@@ -203,11 +173,12 @@ def _plan_region(
     from repro.serialize import plan_from_dict, plan_to_dict
     from repro.store import plan_key
 
-    key = plan_key(
-        design="iris",
-        region=region,
-        config={"prune_enumeration": prune_enumeration, "validate": validate},
-    )
+    design = "iris"
+    config = {"prune_enumeration": prune_enumeration, "validate": validate}
+    if sizing is not None:
+        design = sizing.design
+        config.update(sizing.store_config())
+    key = plan_key(design=design, region=region, config=config)
     cached = store.get(key)
     if cached is not None:
         try:

@@ -4,7 +4,9 @@ For every failure scenario of up to ``tolerance`` duct cuts, compute every
 DC pair's shortest path (OC1/OC3) and provision each duct at the maximum,
 over scenarios, of the hose max-flow across it (OC2/OC4). Ducts longer than
 the TC1 reach are excluded up front: no point-to-point connection can use
-them under any switching technology.
+them under any switching technology. A :class:`DuctSizing` rule may
+replace the hose max-flow as a duct's per-scenario need (the robust design
+sizes for a sampled TM ensemble instead); everything else stays as is.
 
 Enumeration is pruned exactly: cutting ducts that no shortest path of a
 scenario uses leaves that scenario's paths (hence capacities) unchanged, so
@@ -23,7 +25,7 @@ bit-identical to serial ones.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
 import networkx as nx
 
@@ -242,20 +244,53 @@ def _comb(n: int, k: int) -> int:
     return c
 
 
+class DuctSizing(Protocol):
+    """A duct-sizing rule: what one duct needs in one failure scenario.
+
+    Algorithm 1 sizes every used duct of every scenario at the hose
+    max-flow of the oriented DC pairs routed across it. A sizing passed to
+    :func:`plan_topology` replaces that need with its own:
+    ``size(oriented, hose, counts)`` gets the sorted oriented pairs, their
+    hose value and the chunk's counter dict, may add its own work counters
+    to ``counts``, and returns the duct's need in fiber pairs. It runs in
+    pool workers, so it must be picklable and a pure function of its
+    arguments; mark it ``@worker_safe`` so reprolint checks that (the
+    call through the protocol is opaque to the chunk's own check).
+
+    ``design`` and ``store_config()`` are the rule's store-key material:
+    the plan is cached under ``plan_key(design=design, ...)`` with
+    ``store_config()``'s entries added to the planner options.
+    ``plan_counters()`` are recorded once on the ``plan.topology`` span.
+    """
+
+    design: str
+
+    def store_config(self) -> dict[str, Any]: ...
+
+    def plan_counters(self) -> dict[str, float]: ...
+
+    def size(
+        self, oriented: tuple[Pair, ...], hose: int, counts: dict[str, float]
+    ) -> int: ...
+
+
 @worker_safe
 def _capacity_chunk(
-    dc_fibers: Mapping[str, int],
+    shared: tuple[Mapping[str, int], DuctSizing | None],
     path_sets: list[Mapping[Pair, tuple[str, ...]]],
-) -> tuple[dict[Duct, int], int, int, int, int]:
-    """Worker: per-duct hose maxima over one chunk of scenario path sets.
+) -> tuple[dict[Duct, int], dict[str, float]]:
+    """Worker: per-duct maxima over one chunk of scenario path sets.
 
-    Returns the chunk's (duct -> needed capacity, cache hits, cache
-    misses, cold solves, incremental solves); the parent merges chunk
-    results by per-duct maximum, which is order-independent, so the
-    merged capacities match serial execution exactly. The counter deltas
-    are measured against this process's hose cache.
+    Each (scenario, used duct) needs its hose max-flow, or what the
+    optional :class:`DuctSizing` makes of it. Returns the chunk's (duct ->
+    needed capacity, counters); the parent merges chunk results by
+    per-duct maximum and counter sums, both order-independent, so the
+    merged result matches serial execution exactly. The ``hose.*``
+    counters are deltas of this process's hose cache.
     """
+    dc_fibers, sizing = shared
     before = hose_cache_stats()
+    counts: dict[str, float] = {}
     edge_capacity: dict[Duct, int] = {}
     for paths in path_sets:
         # Sorted so the hose lookup order — and with it the cache's
@@ -264,16 +299,20 @@ def _capacity_chunk(
         for edge in sorted(_used_ducts(paths)):
             oriented = tuple(sorted(oriented_pairs_through_edge(edge, paths)))
             needed = hose_capacity(oriented, dc_fibers)
+            if sizing is not None:
+                needed = sizing.size(oriented, needed, counts)
             if needed > edge_capacity.get(edge, 0):
                 edge_capacity[edge] = needed
     after = hose_cache_stats()
-    return (
-        edge_capacity,
-        after.hits - before.hits,
-        after.misses - before.misses,
-        after.cold_solves - before.cold_solves,
-        after.incremental_solves - before.incremental_solves,
-    )
+    hose_counts: dict[str, float] = {
+        "hose.cache_hits": after.hits - before.hits,
+        "hose.cache_misses": after.misses - before.misses,
+        "hose.cold_solves": after.cold_solves - before.cold_solves,
+        "hose.incremental_solves": (
+            after.incremental_solves - before.incremental_solves
+        ),
+    }
+    return edge_capacity, obs.merge_counters(hose_counts, counts)
 
 
 def plan_topology(
@@ -284,6 +323,7 @@ def plan_topology(
     backend: str | None = None,
     paths_oracle: PathsOracle | None = None,
     cancel_token: CancelToken | None = None,
+    sizing: DuctSizing | None = None,
 ) -> TopologyPlan:
     """Run Algorithm 1 for ``region``.
 
@@ -313,6 +353,9 @@ def plan_topology(
     cold ones). ``cancel_token`` arms cooperative cancellation and per-job
     timeouts: the fan-out checks it at chunk boundaries and unwinds with
     :class:`~repro.exceptions.JobCancelled`.
+
+    ``sizing`` swaps the per-duct capacity rule (see :class:`DuctSizing`);
+    ``None`` sizes every duct at its hose max-flow, as the paper does.
     """
     tracer = obs.current()
     if tracer is None:
@@ -353,24 +396,15 @@ def plan_topology(
             # the outcome.
             with tracer.span("plan.capacity"):
                 edge_capacity: dict[Duct, int] = {}
-                hits = misses = cold = incremental = 0
+                counts: dict[str, float] = {}
                 path_sets = list(scenario_paths.values())
                 chunks = (
                     engine_backend.plan_chunks(path_sets) if path_sets else []
                 )
-                for (
-                    chunk_caps,
-                    chunk_hits,
-                    chunk_misses,
-                    chunk_cold,
-                    chunk_incremental,
-                ) in engine_backend.run_chunks(
-                    _capacity_chunk, region.dc_fibers, chunks
+                for chunk_caps, chunk_counts in engine_backend.run_chunks(
+                    _capacity_chunk, (region.dc_fibers, sizing), chunks
                 ):
-                    hits += chunk_hits
-                    misses += chunk_misses
-                    cold += chunk_cold
-                    incremental += chunk_incremental
+                    obs.merge_counters(counts, chunk_counts)
                     for edge, needed in chunk_caps.items():
                         if needed > edge_capacity.get(edge, 0):
                             edge_capacity[edge] = needed
@@ -379,10 +413,9 @@ def plan_topology(
         # per-lookup event counters recorded inside chunk shards, so tree
         # totals never double-count): the PlanTimings view reads these.
         top.incr("scenarios.evaluated", len(scenario_paths))
-        top.incr("hose.cache_hits", hits)
-        top.incr("hose.cache_misses", misses)
-        top.incr("hose.cold_solves", cold)
-        top.incr("hose.incremental_solves", incremental)
+        if sizing is not None:
+            obs.merge_counters(counts, sizing.plan_counters())
+        obs.merge_counters(top.record.counters, counts)
 
     timings = PlanTimings.from_record(
         top.record, backend=engine_backend.name, jobs=engine_backend.jobs

@@ -4,25 +4,25 @@
 re-optimizing the reconfigurable topology for each traffic matrix (and
 paying reconfiguration churn), one should plan a single topology that is
 simultaneously feasible for an *ensemble* of representative TMs. This
-module is that planning mode for the Iris regional planner:
+module is that planning mode for the Iris regional planner. It is not a
+second planner but a duct-sizing rule (:class:`EnsembleSizing`) passed to
+Algorithm 1 (:func:`repro.core.topology.plan_topology`):
 
 * sample an ensemble of heavy-tailed DC-DC matrices
   (:class:`TrafficEnsembleSpec`, seeded and reproducible);
-* run Algorithm 1's prune + failure-scenario enumeration unchanged;
-* size each duct, per scenario, at the **maximum over ensemble members**
-  of the traffic it must carry — clamped to the hose envelope, which the
-  incremental hose solver (:func:`repro.core.hose.hose_capacity`) prices
-  per (duct, scenario) exactly as the iris design does. Each sampled TM
-  respects the hose (per-DC shares scale to the DC's fiber count), so the
-  robust capacity of every duct is ≤ the iris hose capacity: the ensemble
-  buys a cheaper topology, never a larger one.
-* complete amplifiers / cut-throughs / residual fibers / validation with
-  the stock :class:`~repro.core.planner.IrisPlanner` machinery.
+* Algorithm 1 prunes and enumerates the failure scenarios unchanged;
+* the rule sizes each duct, per scenario, at the **maximum over ensemble
+  members** of the traffic it must carry — clamped to the hose envelope,
+  which Algorithm 1 prices per (duct, scenario) exactly as for the iris
+  design. Each sampled TM respects the hose (per-DC shares scale to the
+  DC's fiber count), so the robust capacity of every duct is ≤ the iris
+  hose capacity: the ensemble buys a cheaper topology, never a larger one;
+* amplifiers, cut-throughs, residual fibers and validation follow as for
+  the iris design.
 
 Determinism: ensemble sampling uses one explicit ``random.Random``; duct
-loads are computed in sorted (duct, pair) order inside each chunk and
-merged by per-duct maximum, so ``jobs=1`` and ``jobs=N`` plans are
-byte-identical (``plan_to_json`` equality, parity-tested). With a
+loads are summed in sorted pair order, so ``jobs=1`` and ``jobs=N`` plans
+are byte-identical (``plan_to_json`` equality, parity-tested). With a
 ``store``, plans are cached under a key that includes the **ensemble
 digest** — two different ensembles never collide, identical specs hit.
 """
@@ -32,27 +32,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro import obs
-from repro.core.engine import PlanTimings, get_backend, worker_safe
-from repro.core.hose import (
-    hose_cache_stats,
-    hose_capacity,
-    oriented_pairs_through_edge,
-)
-from repro.core.plan import IrisPlan, Pair, TopologyPlan
-from repro.core.topology import (
-    _used_ducts,
-    enumerate_scenario_paths,
-    prune_overlong_ducts,
-)
+from repro.core.engine import worker_safe
+from repro.core.plan import IrisPlan, Pair
 from repro.cost.estimator import Inventory
 from repro.designs.base import register_design
-from repro.exceptions import ReproError, SimulationError
-from repro.region.fibermap import Duct, RegionSpec
+from repro.exceptions import SimulationError
+from repro.region.fibermap import RegionSpec
 from repro.simulation.traffic import TrafficMatrix, sample_ensemble
-from repro.units import IRIS_MAX_DUCT_KM
 
 if TYPE_CHECKING:
     from repro.store import PlanStore
@@ -132,153 +121,66 @@ def pair_demand_fibers(
     return {pair: w * scale for pair, w in tm.weights.items()}
 
 
-@worker_safe
-def _robust_capacity_chunk(
-    shared: tuple[Mapping[str, int], tuple[Mapping[Pair, float], ...]],
-    path_sets: list[Mapping[Pair, tuple[str, ...]]],
-) -> tuple[dict[Duct, int], int, int, int, int, int, int]:
-    """Worker: per-duct robust maxima over one chunk of scenario path sets.
+@dataclass(frozen=True)
+class EnsembleSizing:
+    """Algorithm 1's duct-sizing rule for a TM ensemble.
 
-    For each (scenario, used duct): the duct's load under one TM is the
-    sum of demands of pairs routed across it; the robust need is the
-    ensemble maximum of that load, rounded up to whole fibers and clamped
-    to the hose envelope (the hose is the worst case over *all* feasible
-    TMs, so no sampled TM can legitimately exceed it — the clamp defends
-    against float slop only). Sorted iteration everywhere keeps the sum
-    order — hence the float result — identical in any chunking, so the
-    per-duct max merge reproduces serial plans exactly.
+    A :class:`repro.core.topology.DuctSizing`: for each (scenario, used
+    duct), the duct's load under one TM is the sum of the demands of the
+    pairs routed across it; its need is the ensemble maximum of that load,
+    rounded up to whole fibers and clamped to the hose envelope (the hose
+    is the worst case over *all* feasible TMs, so no sampled TM can
+    legitimately exceed it — the clamp defends against float slop only).
+    Sorted iteration keeps the sum order — hence the float result —
+    identical in any chunking, so ``jobs=1`` and ``jobs=N`` plans match.
 
-    Returns (duct -> fibers, cache hits, misses, cold solves, incremental
-    solves, duct evaluations, hose clamps applied).
+    ``demands`` holds one :func:`pair_demand_fibers` table per TM and
+    ``digest`` the ensemble's :func:`ensemble_digest`; with the TM count
+    they key the plan in a store.
     """
-    dc_fibers, demands_per_tm = shared
-    before = hose_cache_stats()
-    edge_capacity: dict[Duct, int] = {}
-    duct_evals = 0
-    clamped = 0
-    for paths in path_sets:
-        for edge in sorted(_used_ducts(paths)):
-            oriented = tuple(sorted(oriented_pairs_through_edge(edge, paths)))
-            crossing = sorted({tuple(sorted(p)) for p in oriented})
-            hose = hose_capacity(oriented, dc_fibers)
-            load = 0.0
-            for demands in demands_per_tm:
-                tm_load = 0.0
-                for pair in crossing:
-                    tm_load += demands.get(pair, 0.0)
-                load = max(load, tm_load)
-            need = max(1, math.ceil(load - 1e-9))
-            duct_evals += 1
-            if need > hose:
-                need = hose
-                clamped += 1
-            if need > edge_capacity.get(edge, 0):
-                edge_capacity[edge] = need
-    after = hose_cache_stats()
-    return (
-        edge_capacity,
-        after.hits - before.hits,
-        after.misses - before.misses,
-        after.cold_solves - before.cold_solves,
-        after.incremental_solves - before.incremental_solves,
-        duct_evals,
-        clamped,
-    )
 
+    demands: tuple[Mapping[Pair, float], ...]
+    digest: str
 
-def robust_topology(
-    region: RegionSpec,
-    ensemble: Sequence[TrafficMatrix],
-    *,
-    prune_enumeration: bool = True,
-    jobs: int | None = 1,
-    backend: str | None = None,
-) -> TopologyPlan:
-    """Algorithm 1 with ensemble-robust capacity sizing.
+    design = "robust"
 
-    Identical to :func:`repro.core.topology.plan_topology` through the
-    prune and enumeration phases; the capacity phase sizes each duct at
-    the ensemble-max traffic load instead of the full hose max-flow (see
-    :func:`_robust_capacity_chunk`). Bit-identical across ``jobs``.
-    """
-    if not ensemble:
-        raise SimulationError("robust planning needs a non-empty ensemble")
-    tracer = obs.current()
-    if tracer is None:
-        tracer = obs.Tracer("plan")
-    constraints = region.constraints
+    def __post_init__(self) -> None:
+        if not self.demands:
+            raise SimulationError("robust planning needs a non-empty ensemble")
 
-    demands_per_tm = tuple(
-        pair_demand_fibers(tm, region.dc_fibers) for tm in ensemble
-    )
+    @classmethod
+    def for_ensemble(
+        cls, ensemble: Sequence[TrafficMatrix], dc_fibers: Mapping[str, int]
+    ) -> "EnsembleSizing":
+        """The rule for ``ensemble`` run at ``dc_fibers``' hose limits."""
+        return cls(
+            demands=tuple(pair_demand_fibers(tm, dc_fibers) for tm in ensemble),
+            digest=ensemble_digest(ensemble),
+        )
 
-    with tracer.span("plan.topology") as top:
-        with tracer.span("plan.prune") as span:
-            usable_km = min(constraints.max_span_km, IRIS_MAX_DUCT_KM)
-            fmap = prune_overlong_ducts(region.fiber_map, usable_km)
-            span.incr("prune.ducts_dropped",
-                      len(region.fiber_map.ducts) - len(fmap.ducts))
+    def store_config(self) -> dict[str, Any]:
+        return {"tm_count": len(self.demands), "tm_ensemble": self.digest}
 
-        with get_backend(jobs, backend) as engine_backend:
-            with tracer.span("plan.enumerate"):
-                scenario_paths, total_raw = enumerate_scenario_paths(
-                    fmap,
-                    constraints.failure_tolerance,
-                    sla_fiber_km=constraints.sla_fiber_km,
-                    prune=prune_enumeration,
-                    backend=engine_backend,
-                )
+    def plan_counters(self) -> dict[str, float]:
+        return {"robust.tms": len(self.demands)}
 
-            with tracer.span("plan.capacity"):
-                edge_capacity: dict[Duct, int] = {}
-                hits = misses = cold = incremental = 0
-                duct_evals = clamps = 0
-                path_sets = list(scenario_paths.values())
-                chunks = (
-                    engine_backend.plan_chunks(path_sets) if path_sets else []
-                )
-                for (
-                    chunk_caps,
-                    chunk_hits,
-                    chunk_misses,
-                    chunk_cold,
-                    chunk_incremental,
-                    chunk_evals,
-                    chunk_clamps,
-                ) in engine_backend.run_chunks(
-                    _robust_capacity_chunk,
-                    (region.dc_fibers, demands_per_tm),
-                    chunks,
-                ):
-                    hits += chunk_hits
-                    misses += chunk_misses
-                    cold += chunk_cold
-                    incremental += chunk_incremental
-                    duct_evals += chunk_evals
-                    clamps += chunk_clamps
-                    for edge, needed in chunk_caps.items():
-                        if needed > edge_capacity.get(edge, 0):
-                            edge_capacity[edge] = needed
-
-        top.incr("scenarios.evaluated", len(scenario_paths))
-        top.incr("hose.cache_hits", hits)
-        top.incr("hose.cache_misses", misses)
-        top.incr("hose.cold_solves", cold)
-        top.incr("hose.incremental_solves", incremental)
-        top.incr("robust.tms", len(ensemble))
-        top.incr("robust.duct_evals", duct_evals)
-        top.incr("robust.clamped", clamps)
-
-    timings = PlanTimings.from_record(
-        top.record, backend=engine_backend.name, jobs=engine_backend.jobs
-    )
-    return TopologyPlan(
-        edge_capacity=edge_capacity,
-        scenario_paths=scenario_paths,
-        scenario_count_total=total_raw,
-        timings=timings,
-        trace=top.record,
-    )
+    @worker_safe
+    def size(
+        self, oriented: tuple[Pair, ...], hose: int, counts: dict[str, float]
+    ) -> int:
+        crossing = sorted({tuple(sorted(p)) for p in oriented})
+        load = 0.0
+        for demands in self.demands:
+            tm_load = 0.0
+            for pair in crossing:
+                tm_load += demands.get(pair, 0.0)
+            load = max(load, tm_load)
+        need = max(1, math.ceil(load - 1e-9))
+        clamped = need > hose
+        obs.merge_counters(
+            counts, {"robust.duct_evals": 1, "robust.clamped": int(clamped)}
+        )
+        return hose if clamped else need
 
 
 def plan_robust(
@@ -305,55 +207,20 @@ def plan_robust(
     digest: replanning the same region with the same ensemble is a load,
     any change to any TM weight is a miss.
     """
-    from repro.core.planner import IrisPlanner
+    from repro.core.planner import _plan_region
 
     if ensemble is None:
         spec = traffic if traffic is not None else TrafficEnsembleSpec()
         ensemble = spec.build(region.dcs)
-    ensemble = list(ensemble)
-
-    def fresh() -> IrisPlan:
-        topology = robust_topology(
-            region,
-            ensemble,
-            prune_enumeration=prune_enumeration,
-            jobs=jobs,
-            backend=backend,
-        )
-        planner = IrisPlanner(
-            region,
-            prune_enumeration=prune_enumeration,
-            validate=validate,
-            jobs=jobs,
-            backend=backend,
-        )
-        return planner.plan_from_topology(topology)
-
-    if store is None:
-        return fresh()
-
-    from repro.serialize import plan_from_dict, plan_to_dict
-    from repro.store import plan_key
-
-    key = plan_key(
-        design="robust",
-        region=region,
-        config={
-            "prune_enumeration": prune_enumeration,
-            "validate": validate,
-            "tm_count": len(ensemble),
-            "tm_ensemble": ensemble_digest(ensemble),
-        },
+    return _plan_region(
+        region,
+        prune_enumeration=prune_enumeration,
+        validate=validate,
+        jobs=jobs,
+        backend=backend,
+        store=store,
+        sizing=EnsembleSizing.for_ensemble(ensemble, region.dc_fibers),
     )
-    cached = store.get(key)
-    if cached is not None:
-        try:
-            return plan_from_dict(cached)
-        except ReproError:
-            pass  # stale payload: fall through and replan
-    plan = fresh()
-    store.put(key, plan_to_dict(plan, full=True), kind="plan")
-    return plan
 
 
 @register_design("robust")

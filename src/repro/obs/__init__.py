@@ -8,9 +8,10 @@ instrumented hot paths cost one global read when nobody is watching.
 Typical use::
 
     from repro import obs
+    from repro.api import PlannerConfig, plan
 
     with obs.tracing("my-run") as tracer:
-        plan = plan_region(region, jobs=4)
+        result = plan(region, config=PlannerConfig(jobs=4))
     record = tracer.record()
     print(obs.render_tree(record))
     print(record.total("paths.scenarios"))

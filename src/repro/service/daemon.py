@@ -644,7 +644,10 @@ class PlannerService:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with conn:
-            stream = conn.makefile("rb")
+            try:
+                stream = conn.makefile("rb")
+            except OSError:
+                return  # the ``with`` closes the connection
             try:
                 while True:
                     try:

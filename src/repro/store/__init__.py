@@ -18,17 +18,17 @@ goal needs:
 
 Typical use::
 
+    from repro.api import PlannerConfig, plan
     from repro.store import PlanStore
-    from repro.core.planner import plan_region
 
-    store = PlanStore(".iris-store")
-    plan = plan_region(region, store=store)   # miss: plans + checkpoints
-    plan = plan_region(region, store=store)   # hit: loads, bit-identical
+    config = PlannerConfig(store=PlanStore(".iris-store"))
+    result = plan(region, config=config)   # miss: plans + checkpoints
+    result = plan(region, config=config)   # hit: loads, bit-identical
 
 The same ``store=`` threads through the design registry
-(``get_design("iris", store=store)``) and ``run_sweep`` — completed sweep
-cells checkpoint as they finish, so ``iris sweep --store DIR --resume``
-replans only the incomplete cells.
+(``get_design("iris", store=store)``) and :func:`repro.api.sweep` —
+completed sweep cells checkpoint as they finish, so
+``iris sweep --store DIR --resume`` replans only the incomplete cells.
 """
 
 from repro.store.canonical import canonical_json, digest, sha256_hex

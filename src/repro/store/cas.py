@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -90,12 +92,16 @@ class StoreStats:
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically: same-dir tmp + ``os.replace``.
 
-    The tmp file carries the writer's PID so concurrent processes never
-    collide on it; the final rename is atomic, so readers observe either
-    the old file or the complete new one — never a torn write.
+    The tmp file carries the writer's PID, thread id and a random suffix,
+    so concurrent processes and threads never collide on it; the final
+    rename is atomic, so readers observe either the old file or the
+    complete new one — never a torn write.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{threading.get_ident()}"
+        f".{secrets.token_hex(4)}.tmp"
+    )
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)

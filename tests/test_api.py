@@ -1,4 +1,4 @@
-"""The repro.api facade: PlannerConfig, plan/sweep/simulate, deprecations."""
+"""The repro.api facade: PlannerConfig, plan/sweep/simulate."""
 
 import warnings
 
@@ -48,10 +48,7 @@ class TestPlan:
         from repro.core.planner import plan_region
 
         via_api = plan(small_region, config=PlannerConfig(jobs=1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = plan_region(small_region, jobs=1)
-        assert plan_to_json(via_api) == plan_to_json(legacy)
+        assert plan_to_json(via_api) == plan_to_json(plan_region(small_region))
 
     def test_other_designs_return_inventory(self, small_region):
         inventory = plan(small_region, design="eps")
@@ -91,10 +88,7 @@ class TestSweep:
 
         points = [SweepPoint(map_index=0, n_dcs=5, dc_fibers=8, wavelengths=40)]
         via_api = sweep(points, config=PlannerConfig(jobs=1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_sweep(points, jobs=1)
-        assert via_api == legacy
+        assert via_api == run_sweep(points)
         assert via_api[0].eps_over_iris > 1.0
 
 
@@ -107,25 +101,12 @@ class TestSimulate:
 
 
 class TestDeprecationShims:
-    def test_plan_region_loose_kwargs_warn(self, small_region):
-        from repro.core.planner import plan_region
-
-        with pytest.warns(DeprecationWarning, match="repro.api.plan"):
-            plan_region(small_region, jobs=1)
-
     def test_plan_region_bare_call_is_silent(self, small_region):
         from repro.core.planner import plan_region
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             plan_region(small_region)
-
-    def test_run_sweep_loose_kwargs_warn(self):
-        from repro.analysis.designspace import SweepPoint, run_sweep
-
-        points = [SweepPoint(map_index=0, n_dcs=5, dc_fibers=8, wavelengths=40)]
-        with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-            run_sweep(points, jobs=1)
 
 
 class TestTopLevelExports:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import api
+from repro.api import PlannerConfig
 from repro.core import engine
 from repro.core.engine import (
     BACKEND_NAMES,
@@ -17,7 +19,6 @@ from repro.core.engine import (
     resolve_jobs,
 )
 from repro.core.hose import clear_hose_cache, hose_cache_stats, hose_capacity
-from repro.core.planner import plan_region
 from repro.core.topology import plan_topology
 from repro.exceptions import InfeasibleRegionError, ReproError
 from repro.region.catalog import make_region
@@ -152,7 +153,7 @@ class TestSerialNeverSpawnsPool:
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", forbidden)
         instance = make_region(map_index=0, n_dcs=4, dc_fibers=4)
-        plan = plan_region(instance.spec, jobs=1)
+        plan = api.plan(instance.spec, config=PlannerConfig(jobs=1))
         assert plan.validate() == []
         assert plan.topology.timings.backend == "serial"
 
@@ -182,8 +183,8 @@ class TestSerialParallelParity:
 
     def test_full_plan_identical(self):
         instance = make_region(map_index=0, n_dcs=5, dc_fibers=8)
-        serial = plan_region(instance.spec, jobs=1)
-        parallel = plan_region(instance.spec, jobs=2)
+        serial = api.plan(instance.spec, config=PlannerConfig(jobs=1))
+        parallel = api.plan(instance.spec, config=PlannerConfig(jobs=2))
         assert serial.topology == parallel.topology
         assert dict(serial.residual) == dict(parallel.residual)
         assert serial.cut_throughs == parallel.cut_throughs

@@ -9,7 +9,8 @@ Update the constants deliberately when a change is intentional.
 
 import pytest
 
-from repro import obs
+from repro import api, obs
+from repro.api import PlannerConfig
 from repro.core.hose import clear_hose_cache
 from repro.core.planner import plan_region
 from repro.cost.estimator import estimate_cost
@@ -67,7 +68,7 @@ class TestGoldenObservability:
         instance = make_region(map_index=0, n_dcs=5, dc_fibers=8)
         clear_hose_cache()
         with obs.tracing("golden") as tracer:
-            plan = plan_region(instance.spec, jobs=1)
+            plan = api.plan(instance.spec, config=PlannerConfig(jobs=1))
         return plan, tracer.record()
 
     def test_timings_view(self, traced_plan):

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs, plan_region
+from repro import api, obs, plan_region
+from repro.api import PlannerConfig
 from repro.core.hose import clear_hose_cache
 from repro.region.catalog import make_region
 from repro.serialize import plan_to_json
@@ -32,7 +33,7 @@ def parity_region():
 def _traced_plan(region, jobs: int):
     clear_hose_cache()
     with obs.tracing("parity") as tracer:
-        plan = plan_region(region, jobs=jobs)
+        plan = api.plan(region, config=PlannerConfig(jobs=jobs))
     return plan, tracer.record()
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.planner import _plan_region
 from repro.designs import available_designs, get_design
 from repro.designs.robust import (
+    EnsembleSizing,
     RobustDesign,
     TrafficEnsembleSpec,
     ensemble_digest,
@@ -173,17 +174,79 @@ class TestRobustPlanning:
 
     def test_robust_counters_recorded(self, small_region_instance):
         from repro import obs
-        from repro.designs.robust import robust_topology
+        from repro.core.topology import plan_topology
 
         region = small_region_instance.spec
         ensemble = TrafficEnsembleSpec(count=3).build(region.dcs)
-        with obs.tracing("test") as tracer:
-            robust_topology(region, ensemble)
-        record = tracer.record()
-        totals = record.counter_totals()
-        assert totals["robust.tms"] == 3
-        assert totals["robust.duct_evals"] > 0
-        assert totals["scenarios.evaluated"] > 0
+        sizing = EnsembleSizing.for_ensemble(ensemble, region.dc_fibers)
+        totals = {}
+        for jobs in (1, 2):
+            with obs.tracing("test") as tracer:
+                plan_topology(region, jobs=jobs, sizing=sizing)
+            totals[jobs] = tracer.record().counter_totals()
+        assert totals[1]["robust.tms"] == 3
+        assert totals[1]["robust.duct_evals"] > 0
+        assert totals[1]["scenarios.evaluated"] > 0
+        # The sizing's work does not depend on how the chunks were spread.
+        for name in ("robust.tms", "robust.duct_evals", "robust.clamped",
+                     "scenarios.evaluated"):
+            assert totals[2][name] == totals[1][name], name
+
+
+class TestGoldenRegion:
+    """The robust design on the golden region (map 0, 5 DCs, 8 fibers).
+
+    Pins its plan bytes, work counters and store key, so a change to
+    Algorithm 1's sizing seam, to the ensemble rule or to the store key
+    shows up here as a diff rather than as silent drift.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self, small_region_instance, tmp_path_factory):
+        from repro import obs
+        from repro.store import PlanStore
+
+        store = PlanStore(tmp_path_factory.mktemp("golden-robust"))
+        with obs.tracing("golden-robust") as tracer:
+            plan = plan_robust(small_region_instance.spec, store=store)
+        return plan, tracer.record(), store
+
+    def test_provisioning_and_cost(self, golden, small_plan):
+        from repro.cost.estimator import estimate_cost
+
+        robust, *_ = golden
+        assert robust.topology.total_fiber_pairs() == 264
+        assert small_plan.topology.total_fiber_pairs() == 528
+        robust_cost = estimate_cost(robust.inventory()).total
+        iris_cost = estimate_cost(small_plan.inventory()).total
+        assert robust_cost == pytest.approx(4_335_200)
+        assert iris_cost == pytest.approx(5_444_000)
+        assert robust_cost / iris_cost == pytest.approx(0.796, abs=5e-4)
+
+    def test_counters(self, golden):
+        _, record, _ = golden
+        assert record.counter_totals("robust.") == {
+            "robust.tms": 5,
+            "robust.duct_evals": 4433,
+            "robust.clamped": 0,
+        }
+
+    def test_store_key(self, golden):
+        _, _, store = golden
+        key = "402efb37422841b154c57e2c7b4fb50b9de3513a53b7d03cde5034f0a4052d48"
+        assert (store.misses, store.puts) == (1, 1)
+        assert store.get(key) is not None
+
+    def test_plan_bytes(self, golden, small_plan):
+        import hashlib
+
+        def sha(plan):
+            text = plan_to_json(plan, full=True)
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        robust, *_ = golden
+        assert sha(robust).startswith("2783140302c128fa")
+        assert sha(small_plan).startswith("fd091195b8baac45")
 
 
 class TestStoreCaching:

@@ -16,11 +16,13 @@ import multiprocessing
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.designspace import SweepPoint, run_sweep
+from repro.api import PlannerConfig, plan, sweep
 from repro.core.planner import plan_region
 from repro.designs import get_design
 from repro.exceptions import ReproError
@@ -194,13 +196,45 @@ class TestConcurrentWriters:
         assert store.get(key) == payload
         assert store.verify() == []
 
+    def test_threads_putting_distinct_keys_never_collide(self, tmp_path):
+        """Threads of one process share a PID, so the tmp file name must
+        also separate threads (the planner service's workers are threads).
+        """
+        store = PlanStore(tmp_path)
+        keys = [f"{n:064x}" for n in range(400)]
+        errors: list[BaseException] = []
+
+        def put_range(part):
+            for key in keys[part::4]:
+                try:
+                    store.put(key, {"key": key}, kind="race")
+                except Exception as exc:  # collected, asserted below
+                    errors.append(exc)
+
+        threads = [
+            threading.Thread(target=put_range, args=(part,))
+            for part in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: races show
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(store.get(key) == {"key": key} for key in keys)
+
 
 class TestPlanRegionWithStore:
     def test_cached_plan_is_bit_identical(self, toy_region, tmp_path):
         store = PlanStore(tmp_path)
         fresh = plan_region(toy_region)
-        cold = plan_region(toy_region, store=store)
-        warm = plan_region(toy_region, store=store)
+        cold = plan(toy_region, config=PlannerConfig(store=store))
+        warm = plan(toy_region, config=PlannerConfig(store=store))
         assert (store.puts, store.hits) == (1, 1)
         assert plan_to_json(warm) == plan_to_json(fresh)
         assert plan_to_json(warm, full=True) == plan_to_json(cold, full=True)
@@ -211,17 +245,18 @@ class TestPlanRegionWithStore:
 
         region = make_region(map_index=0, n_dcs=4, dc_fibers=4).spec
         store = PlanStore(tmp_path)
-        cold = plan_region(region, store=store, jobs=1)
-        warm = plan_region(region, store=store, jobs=2)
+        cold = plan(region, config=PlannerConfig(store=store, jobs=1))
+        warm = plan(region, config=PlannerConfig(store=store, jobs=2))
         assert store.hits == 1
         assert plan_to_json(warm, full=True) == plan_to_json(cold, full=True)
-        assert plan_to_json(warm) == plan_to_json(plan_region(region, jobs=2))
+        parallel = plan(region, config=PlannerConfig(jobs=2))
+        assert plan_to_json(warm) == plan_to_json(parallel)
 
     def test_corrupted_blob_triggers_replan_and_heals(
         self, toy_region, tmp_path
     ):
         store = PlanStore(tmp_path)
-        plan_region(toy_region, store=store)
+        plan(toy_region, config=PlannerConfig(store=store))
         key = plan_key(
             design="iris",
             region=toy_region,
@@ -229,17 +264,17 @@ class TestPlanRegionWithStore:
         )
         blob = store.blob_path(key)
         blob.write_text(blob.read_text()[:100])  # torn write
-        replanned = plan_region(toy_region, store=store)
+        replanned = plan(toy_region, config=PlannerConfig(store=store))
         assert store.corrupt == 1 and store.puts == 2
         assert plan_to_json(replanned) == plan_to_json(plan_region(toy_region))
         # The replan healed the entry: next call is a clean hit.
-        plan_region(toy_region, store=store)
+        plan(toy_region, config=PlannerConfig(store=store))
         assert store.hits == 1
 
     def test_loaded_plan_validates_clean(self, toy_region, tmp_path):
         store = PlanStore(tmp_path)
-        plan_region(toy_region, store=store)
-        loaded = plan_region(toy_region, store=store)
+        plan(toy_region, config=PlannerConfig(store=store))
+        loaded = plan(toy_region, config=PlannerConfig(store=store))
         assert loaded.validate() == []
         assert loaded.inventory() == plan_region(toy_region).inventory()
 
@@ -278,16 +313,16 @@ SWEEP_POINTS = [
 class TestSweepResume:
     def test_warm_sweep_is_record_identical(self, tmp_path):
         store = PlanStore(tmp_path)
-        cold = run_sweep(SWEEP_POINTS, store=store)
+        cold = sweep(SWEEP_POINTS, config=PlannerConfig(store=store))
         assert store.puts == 2  # two distinct (map, n, f) cells
-        warm = run_sweep(SWEEP_POINTS, store=store)
+        warm = sweep(SWEEP_POINTS, config=PlannerConfig(store=store))
         assert store.hits == 2
         assert warm == cold == run_sweep(SWEEP_POINTS)
 
     def test_warm_sweep_matches_parallel_cold_sweep(self, tmp_path):
         store = PlanStore(tmp_path)
-        cold = run_sweep(SWEEP_POINTS, jobs=2, store=store)
-        warm = run_sweep(SWEEP_POINTS, jobs=2, store=store)
+        cold = sweep(SWEEP_POINTS, config=PlannerConfig(jobs=2, store=store))
+        warm = sweep(SWEEP_POINTS, config=PlannerConfig(jobs=2, store=store))
         assert store.hits == 2
         assert warm == cold
 
@@ -296,7 +331,8 @@ class TestSweepResume:
         script = textwrap.dedent(
             """
             import os
-            from repro.analysis.designspace import SweepPoint, run_sweep
+            from repro.analysis.designspace import SweepPoint
+            from repro.api import PlannerConfig, sweep
             from repro.store import PlanStore
 
             class DyingStore(PlanStore):
@@ -309,7 +345,8 @@ class TestSweepResume:
                 SweepPoint(0, 4, 4, 64),
                 SweepPoint(1, 4, 4, 40),
             ]
-            run_sweep(points, store=DyingStore(os.environ["STORE_DIR"]))
+            store = DyingStore(os.environ["STORE_DIR"])
+            sweep(points, config=PlannerConfig(store=store))
             """
         )
         proc = subprocess.run(
@@ -326,7 +363,7 @@ class TestSweepResume:
 
         store = PlanStore(tmp_path)
         assert store.stats().entries == 1  # exactly one cell survived
-        resumed = run_sweep(SWEEP_POINTS, store=store)
+        resumed = sweep(SWEEP_POINTS, config=PlannerConfig(store=store))
         # Resume replanned only the incomplete cell.
         assert store.hits == 1 and store.puts == 1
         assert resumed == run_sweep(SWEEP_POINTS)
@@ -335,10 +372,10 @@ class TestSweepResume:
         from repro.analysis.designspace import _cell_key
 
         store = PlanStore(tmp_path)
-        baseline = run_sweep(SWEEP_POINTS[:1], store=store)
+        baseline = sweep(SWEEP_POINTS[:1], config=PlannerConfig(store=store))
         key = _cell_key(SWEEP_POINTS[0], failure_tolerance=2)
         store.put(key, {"instance": "bogus"}, kind="sweep-cell")
-        records = run_sweep(SWEEP_POINTS[:1], store=store)
+        records = sweep(SWEEP_POINTS[:1], config=PlannerConfig(store=store))
         assert records == baseline
         assert store.stats().entries == 1
 
