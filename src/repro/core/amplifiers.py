@@ -17,6 +17,10 @@ amplifiers already installed for other scenarios are reused for free).
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
+from typing import Sequence
+
+from repro import obs
 from repro.core.failures import Scenario
 from repro.core.hose import hose_capacity
 from repro.core.plan import AmplifierPlan, EffectivePath, Pair, TopologyPlan
@@ -47,6 +51,33 @@ def _site_demand(
     return hose_capacity(pairs, region.dc_fibers)
 
 
+class _Route:
+    """One distinct shortest path, shared by every (scenario, pair) that
+    routes over it: its un-amplified :class:`EffectivePath`, built once per
+    plan, and the greedy's questions about it, each answered once."""
+
+    def __init__(self, path: EffectivePath, max_span_km: float) -> None:
+        self.path = path
+        self.too_long = _needs_amp_for_distance(path, max_span_km)
+        self._amplified: dict[str, EffectivePath] = {}
+
+    @cached_property
+    def runs_violate(self) -> bool:
+        return _run_violations(self.path)
+
+    @cached_property
+    def fix_sites(self) -> list[str]:
+        """Sites where one in-line amplifier closes every run budget."""
+        nodes = self.path.nodes
+        return [nodes[i + 1] for i in amp_fix_candidates(self.path.profile())]
+
+    def with_amp(self, site: str) -> EffectivePath:
+        amplified = self._amplified.get(site)
+        if amplified is None:
+            amplified = self._amplified[site] = self.path.with_amp(site)
+        return amplified
+
+
 def place_amplifiers(
     region: RegionSpec,
     topology: TopologyPlan,
@@ -56,46 +87,54 @@ def place_amplifiers(
     Returns the :class:`AmplifierPlan` and the per-(scenario, pair)
     :class:`EffectivePath` map with ``amp_node`` set where assigned; paths
     that still violate run budgets afterwards (pure switching-loss cases)
-    are left for cut-through placement.
+    are left for cut-through placement. Equal paths in the map are one
+    shared object.
     """
     max_span = region.constraints.max_span_km
     site_counts: dict[str, int] = defaultdict(int)
     assignments: dict[tuple[Scenario, Pair], str] = {}
     effective: dict[tuple[Scenario, Pair], EffectivePath] = {}
+    distinct: dict[tuple[str, ...], _Route] = {}
+
+    def route_of(nodes: Sequence[str]) -> _Route:
+        key = tuple(nodes)
+        route = distinct.get(key)
+        if route is None:
+            path = EffectivePath.from_path(region.fiber_map, key)
+            route = distinct[key] = _Route(path, max_span)
+        return route
 
     for scenario in topology.scenarios:
-        paths = topology.scenario_paths[scenario]
+        routes = {
+            pair: route_of(path)
+            for pair, path in topology.scenario_paths[scenario].items()
+        }
         current: dict[Pair, EffectivePath] = {
-            pair: EffectivePath.from_path(region.fiber_map, path)
-            for pair, path in paths.items()
+            pair: route.path for pair, route in routes.items()
         }
 
-        pending = {
-            pair
-            for pair, path in current.items()
-            if _needs_amp_for_distance(path, max_span)
-        }
+        pending = {pair for pair, route in routes.items() if route.too_long}
         # Paths violating run budgets through switching loss alone: an
         # amplifier *may* fix them (the nhop bonus); cut-throughs otherwise.
         hop_constrained = {
             pair
-            for pair, path in current.items()
-            if pair not in pending and _run_violations(path)
+            for pair, route in routes.items()
+            if pair not in pending and route.runs_violate
         }
         # Amplifiers placed at a site in *this* scenario, by pair served.
         scenario_sites: dict[str, list[Pair]] = defaultdict(list)
 
+        # Pending and hop-constrained paths are still un-amplified, so
+        # their fix sites are their routes'.
         while pending:
             candidates: dict[str, set[Pair]] = defaultdict(set)
             hop_bonus: dict[str, set[Pair]] = defaultdict(set)
             for pair in sorted(pending):
-                path = current[pair]
-                for span_index in amp_fix_candidates(path.profile()):
-                    candidates[path.nodes[span_index + 1]].add(pair)
+                for site in routes[pair].fix_sites:
+                    candidates[site].add(pair)
             for pair in sorted(hop_constrained):
-                path = current[pair]
-                for span_index in amp_fix_candidates(path.profile()):
-                    hop_bonus[path.nodes[span_index + 1]].add(pair)
+                for site in routes[pair].fix_sites:
+                    hop_bonus[site].add(pair)
 
             if not candidates:
                 # No single amplifier closes the remaining paths' budgets
@@ -122,7 +161,7 @@ def place_amplifiers(
             resolved = candidates[best_site]
             bonus = hop_bonus.get(best_site, set())
             for pair in sorted(resolved | bonus):
-                current[pair] = current[pair].with_amp(best_site)
+                current[pair] = routes[pair].with_amp(best_site)
                 assignments[(scenario, pair)] = best_site
                 scenario_sites[best_site].append(pair)
             needed_here = _site_demand(scenario_sites[best_site], region)
@@ -133,6 +172,7 @@ def place_amplifiers(
         for pair, path in current.items():
             effective[(scenario, pair)] = path
 
+    obs.incr("amplifiers.paths_built", len(distinct))
     plan = AmplifierPlan(
         site_counts={k: v for k, v in sorted(site_counts.items()) if v > 0},
         assignments=dict(assignments),

@@ -22,8 +22,10 @@ already-installed amplifiers are reused for free).
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
+from repro import obs
 from repro.core.failures import Scenario
 from repro.core.hose import hose_capacity
 from repro.core.plan import AmplifierPlan, CutThroughLink, EffectivePath, Pair
@@ -72,6 +74,88 @@ def _chain_for(path: EffectivePath, start: int, end: int) -> _Chain:
     return tuple(chain)
 
 
+@dataclass(frozen=True)
+class _Bypass:
+    """One bypass candidate of a path: crossing the physical ``chain``
+    unswitched gives ``fixed``, which ``resolves`` the path (meets every
+    constraint) or at least cuts its excess by ``reduction`` dB."""
+
+    chain: _Chain
+    fixed: EffectivePath
+    resolves: bool
+    reduction: float
+
+
+@dataclass(frozen=True)
+class _PathRecord:
+    """What the greedy needs of one distinct effective path, computed once.
+
+    ``violates`` is the path's status; the candidate fields stay empty for
+    a compliant path. ``bypasses`` holds the candidates that resolve the
+    path or shrink its excess dB, ``amp_sites`` the sites where one
+    amplifier resolves it, and ``amp_steps`` the ``(site, reduction)`` of
+    the amplifiers that shrink its excess.
+    """
+
+    violates: bool
+    bypasses: tuple[_Bypass, ...] = ()
+    amp_sites: tuple[str, ...] = ()
+    amp_steps: tuple[tuple[str, float], ...] = ()
+
+    @classmethod
+    def of(
+        cls, path: EffectivePath, sla_fiber_km: float, allow_amplifiers: bool
+    ) -> "_PathRecord":
+        if not _violates(path, sla_fiber_km):
+            return cls(violates=False)
+        before = _excess_db(path)
+        bypasses = []
+        for start, end in _candidate_bypasses(path):
+            fixed = path.bypass(start, end)
+            resolves = not _violates(fixed, sla_fiber_km)
+            reduction = before - _excess_db(fixed)
+            if resolves or reduction > 1e-9:
+                bypasses.append(
+                    _Bypass(
+                        _chain_for(path, start, end), fixed, resolves, reduction
+                    )
+                )
+        amp_sites: list[str] = []
+        amp_steps: list[tuple[str, float]] = []
+        if allow_amplifiers and path.amp_node is None:
+            for span_index in amp_fix_candidates(path.profile()):
+                amp_sites.append(path.nodes[span_index + 1])
+            # Partial progress: an amp helps even when it cannot fully
+            # fix the path, as long as it reduces the worst run.
+            for span_index in range(len(path.nodes) - 2):
+                site = path.nodes[span_index + 1]
+                reduction = before - _excess_db(path.with_amp(site))
+                if reduction > 1e-9:
+                    amp_steps.append((site, reduction))
+        return cls(True, tuple(bypasses), tuple(amp_sites), tuple(amp_steps))
+
+
+def _recheck(
+    violating: list[tuple[_Key, _PathRecord]],
+    touched: Mapping[_Key, object],
+    current: Mapping[_Key, EffectivePath],
+    record: Callable[[EffectivePath], _PathRecord],
+) -> list[tuple[_Key, _PathRecord]]:
+    """``violating`` after an action that rewrote the ``touched`` keys.
+
+    Only violating keys are ever rewritten, so no other key can start
+    violating; the order stays ``current``'s.
+    """
+    out = []
+    for key, rec in violating:
+        if key in touched:
+            rec = record(current[key])
+            if not rec.violates:
+                continue
+        out.append((key, rec))
+    return out
+
+
 def place_cut_throughs(
     region: RegionSpec,
     effective: Mapping[_Key, EffectivePath],
@@ -93,6 +177,12 @@ def place_cut_throughs(
     Appendix A observation that amplifiers are often the cheaper fix). Raises
     :class:`PlanningError` if some violation cannot be fixed (cannot happen
     on maps whose ducts respect TC1, per the Appendix A argument).
+
+    Each distinct path's status and candidates are computed once per call
+    (:class:`_PathRecord`). An action rewrites only violating paths, so
+    after it only the keys it touched are checked again; the candidate
+    tables, their order and every hose lookup are as a full recheck of
+    every path in every round would make them.
     """
     prices = prices or PriceBook.default()
     sla = region.constraints.sla_fiber_km
@@ -106,6 +196,20 @@ def place_cut_throughs(
     for (scenario, pair), site in amp_assignments.items():
         served[site][scenario].append(pair)
     link_users: dict[_Chain, set[_Key]] = {}
+    records: dict[EffectivePath, _PathRecord] = {}
+
+    def record(path: EffectivePath) -> _PathRecord:
+        rec = records.get(path)
+        if rec is None:
+            rec = records[path] = _PathRecord.of(path, sla, allow_amplifiers)
+        return rec
+
+    # Violating keys with their records, in ``current`` order.
+    violating = [
+        (key, rec)
+        for key, path in current.items()
+        if (rec := record(path)).violates
+    ]
 
     guard = 0
     while True:
@@ -113,48 +217,34 @@ def place_cut_throughs(
         if guard > 2000:
             raise PlanningError("cut-through placement did not converge")
 
-        violating = [key for key, path in current.items() if _violates(path, sla)]
         if not violating:
             break
 
-        # Cut-through candidates: chain -> {key -> (start, end)} resolved.
-        cut_resolves: dict[_Chain, dict[_Key, tuple[int, int]]] = defaultdict(dict)
+        # Cut-through candidates: chain -> {key -> bypassed path} resolved.
+        cut_resolves: dict[_Chain, dict[_Key, EffectivePath]] = defaultdict(dict)
         # Amplifier candidates: site -> {key -> amp node} resolved.
         amp_resolves: dict[str, dict[_Key, str]] = defaultdict(dict)
 
         # Partial-progress candidates, used when nothing fully resolves a
         # path in one step (heavily switched paths need an amplifier AND
         # cut-throughs): excess-dB reduction per candidate.
-        cut_progress: dict[_Chain, dict[_Key, tuple[int, int]]] = defaultdict(dict)
+        cut_progress: dict[_Chain, dict[_Key, EffectivePath]] = defaultdict(dict)
         cut_gain: dict[_Chain, float] = defaultdict(float)
         amp_progress: dict[str, dict[_Key, str]] = defaultdict(dict)
         amp_gain: dict[str, float] = defaultdict(float)
 
-        for key in violating:
-            path = current[key]
-            before = _excess_db(path)
-            for start, end in _candidate_bypasses(path):
-                fixed = path.bypass(start, end)
-                chain = _chain_for(path, start, end)
-                if not _violates(fixed, sla):
-                    cut_resolves[chain][key] = (start, end)
-                reduction = before - _excess_db(fixed)
-                if reduction > 1e-9:
-                    cut_progress[chain][key] = (start, end)
-                    cut_gain[chain] += reduction
-            if allow_amplifiers and path.amp_node is None:
-                for span_index in amp_fix_candidates(path.profile()):
-                    site = path.nodes[span_index + 1]
-                    amp_resolves[site][key] = site
-                # Partial progress: an amp helps even when it cannot fully
-                # fix the path, as long as it reduces the worst run.
-                for span_index in range(len(path.nodes) - 2):
-                    site = path.nodes[span_index + 1]
-                    with_amp = path.with_amp(site)
-                    reduction = before - _excess_db(with_amp)
-                    if reduction > 1e-9:
-                        amp_progress[site][key] = site
-                        amp_gain[site] += reduction
+        for key, rec in violating:
+            for bypass in rec.bypasses:
+                if bypass.resolves:
+                    cut_resolves[bypass.chain][key] = bypass.fixed
+                if bypass.reduction > 1e-9:
+                    cut_progress[bypass.chain][key] = bypass.fixed
+                    cut_gain[bypass.chain] += bypass.reduction
+            for site in rec.amp_sites:
+                amp_resolves[site][key] = site
+            for site, reduction in rec.amp_steps:
+                amp_progress[site][key] = site
+                amp_gain[site] += reduction
 
         if not cut_resolves and not amp_resolves:
             # Fall back to the best partial step (strict progress keeps
@@ -179,7 +269,7 @@ def place_cut_throughs(
                     best_partial = candidate
             if best_partial is None:
                 details = []
-                for key in violating[:3]:
+                for key, _ in violating[:3]:
                     scenario, pair = key
                     details.append(
                         f"{pair} under {sorted(scenario) or 'no failures'}: "
@@ -194,11 +284,12 @@ def place_cut_throughs(
             _, kind, target = best_partial
             if kind == "cut":
                 chain = target
-                for key, (start, end) in cut_progress[chain].items():
-                    current[key] = current[key].bypass(start, end)
+                touched: Mapping[_Key, object] = cut_progress[chain]
+                current.update(cut_progress[chain])
                 link_users.setdefault(chain, set()).update(cut_progress[chain])
             else:
                 site = target
+                touched = amp_progress[site]
                 for key in amp_progress[site]:
                     scenario, pair = key
                     current[key] = current[key].with_amp(site)
@@ -209,6 +300,7 @@ def place_cut_throughs(
                     for pairs in served[site].values()
                 )
                 sites[site] = max(sites[site], needed)
+            violating = _recheck(violating, touched, current, record)
             continue
 
         def cut_cost(chain: _Chain) -> float:
@@ -248,11 +340,12 @@ def place_cut_throughs(
         kind, target = best_action
         if kind == "cut":
             chain = target  # type: ignore[assignment]
-            for key, (start, end) in cut_resolves[chain].items():
-                current[key] = current[key].bypass(start, end)
+            touched = cut_resolves[chain]
+            current.update(cut_resolves[chain])
             link_users.setdefault(chain, set()).update(cut_resolves[chain])
         else:
             site = target  # type: ignore[assignment]
+            touched = amp_resolves[site]
             for key in amp_resolves[site]:
                 scenario, pair = key
                 current[key] = current[key].with_amp(site)
@@ -263,7 +356,9 @@ def place_cut_throughs(
                 for pairs in served[site].values()
             )
             sites[site] = max(sites[site], needed)
+        violating = _recheck(violating, touched, current, record)
 
+    obs.incr("cutthrough.paths_evaluated", len(records))
     placed: list[CutThroughLink] = []
     for chain, users in sorted(link_users.items()):
         by_scenario: dict[Scenario, list[Pair]] = defaultdict(list)

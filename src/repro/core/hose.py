@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro import obs
-from repro.region.fibermap import Duct, duct_key
+from repro.region.fibermap import Duct
 
 
 def oriented_pairs_through_edge(
@@ -42,20 +42,25 @@ def oriented_pairs_through_edge(
 ) -> list[tuple[str, str]]:
     """DC pairs whose path traverses ``edge``, oriented along the traversal.
 
-    Returns (left, right) per pair, where the path crosses the edge from the
-    ``left`` DC's side toward the ``right`` DC's side. With symmetric
-    demands the reverse orientation is the mirror image, so one orientation
-    suffices for capacity.
+    Returns (left, right) per pair, in ``paths`` order, where the path
+    crosses the edge from the ``left`` DC's side toward the ``right`` DC's
+    side. With symmetric demands the reverse orientation is the mirror
+    image, so one orientation suffices for capacity. Paths must be simple
+    (no repeated node), as shortest paths are: the edge is then crossed at
+    most once, next to the only visit of its low endpoint.
     """
+    low, high = edge
     out: list[tuple[str, str]] = []
     for (a, b), path in paths.items():
-        for x, y in zip(path, path[1:]):
-            if duct_key(x, y) == edge:
-                # The a->b path crosses the duct in the x->y direction; the
-                # canonical key is (min, max), so (x, y) == edge means the
-                # traversal runs low-endpoint -> high-endpoint.
-                out.append((a, b) if (x, y) == edge else (b, a))
-                break
+        if low not in path:
+            continue
+        i = path.index(low)
+        # The canonical key is (min, max), so a crossing from ``low`` to
+        # ``high`` runs along the a->b direction of the path.
+        if i + 1 < len(path) and path[i + 1] == high:
+            out.append((a, b))
+        elif i > 0 and path[i - 1] == high:
+            out.append((b, a))
     return out
 
 

@@ -25,9 +25,8 @@ bit-identical to serial ones.
 from __future__ import annotations
 
 import itertools
+from heapq import heappop, heappush
 from typing import Any, Mapping, Protocol, Sequence
-
-import networkx as nx
 
 from repro import obs
 from repro.core.engine import (
@@ -40,11 +39,7 @@ from repro.core.engine import (
     worker_safe,
 )
 from repro.core.failures import Scenario
-from repro.core.hose import (
-    hose_cache_stats,
-    hose_capacity,
-    oriented_pairs_through_edge,
-)
+from repro.core.hose import hose_cache_stats, hose_capacity
 from repro.core.plan import Pair, TopologyPlan
 from repro.exceptions import InfeasibleRegionError
 from repro.region.fibermap import Duct, FiberMap, RegionSpec, duct_key, pair_key
@@ -70,33 +65,109 @@ def compute_scenario_paths(
     Raises :class:`InfeasibleRegionError` if any pair disconnects or (when
     ``sla_fiber_km`` is given) exceeds the SLA distance — under OC4, the
     operational constraints must keep holding in every tolerated scenario.
+    The paths are exactly ``nx.single_source_dijkstra``'s on
+    ``fmap.subgraph_without(scenario)``, equal-length ties included (see
+    :func:`_dijkstra`).
     """
-    graph = fmap.subgraph_without(scenario)
-    dcs = fmap.dcs
+    return _scenario_paths(_adjacency(fmap), fmap.dcs, scenario, sla_fiber_km)
+
+
+#: Per node, its ducts as (neighbour, length_km, duct key), in the order
+#: of ``fmap.graph.adj`` — the order networkx's Dijkstra relaxes them in.
+_Adjacency = dict[str, list[tuple[str, float, Duct]]]
+
+
+def _adjacency(fmap: FiberMap) -> _Adjacency:
+    return {
+        u: [(v, data["length_km"], duct_key(u, v)) for v, data in nbrs.items()]
+        for u, nbrs in fmap.graph.adj.items()
+    }
+
+
+def _scenario_paths(
+    adjacency: _Adjacency,
+    dcs: Sequence[str],
+    scenario: Scenario,
+    sla_fiber_km: float | None,
+) -> dict[Pair, tuple[str, ...]]:
+    """:func:`compute_scenario_paths` on a prebuilt adjacency.
+
+    One Dijkstra per source DC, searching only until the DCs above it
+    (its pairs' targets) settle; the last DC has none and runs no search.
+    Errors are raised for the first failing pair in (source, target)
+    order, disconnection before SLA, as the full searches did.
+    """
+    cut = {duct_key(u, v) for u, v in scenario}
     paths: dict[Pair, tuple[str, ...]] = {}
-    for source in dcs:
-        lengths, routes = nx.single_source_dijkstra(graph, source, weight="length_km")
-        for target in dcs:
-            if target <= source:
-                continue
+    for i, source in enumerate(dcs[:-1]):
+        targets = dcs[i + 1 :]
+        dist, pred = _dijkstra(adjacency, source, targets, cut)
+        for target in targets:
             pair = pair_key(source, target)
-            if target not in lengths:
+            if target not in dist:
                 raise InfeasibleRegionError(
                     f"DC pair {pair} disconnected when ducts "
                     f"{sorted(scenario)} are cut",
                     scenario=scenario,
                     pair=pair,
                 )
-            if sla_fiber_km is not None and lengths[target] > sla_fiber_km + 1e-9:
+            if sla_fiber_km is not None and dist[target] > sla_fiber_km + 1e-9:
                 raise InfeasibleRegionError(
-                    f"DC pair {pair} at {lengths[target]:.1f} km exceeds the "
+                    f"DC pair {pair} at {dist[target]:.1f} km exceeds the "
                     f"{sla_fiber_km:.0f} km SLA when ducts "
                     f"{sorted(scenario)} are cut",
                     scenario=scenario,
                     pair=pair,
                 )
-            paths[pair] = tuple(routes[target])
+            route = [target]
+            while route[-1] != source:
+                route.append(pred[route[-1]])
+            paths[pair] = tuple(reversed(route))
     return paths
+
+
+def _dijkstra(
+    adjacency: _Adjacency,
+    source: str,
+    targets: Sequence[str],
+    cut: set[Duct],
+) -> tuple[dict[str, float], dict[str, str]]:
+    """Dijkstra from ``source`` without the ``cut`` ducts, stopped once
+    every target has settled. Returns the settled nodes' distances and
+    every reached node's predecessor.
+
+    The tie-breaks are networkx's (``single_source_dijkstra``): neighbours
+    relax in adjacency order, heap entries are ``(dist, push_counter,
+    node)``, a predecessor is replaced only on a strict improvement, and
+    distances are summed as ``dist + length_km``. A settled node's
+    distance and predecessor never change again, so stopping early
+    returns the same routes to the targets as a full search.
+    """
+    dist: dict[str, float] = {}
+    seen: dict[str, float] = {source: 0}
+    pred: dict[str, str] = {}
+    fringe: list[tuple[float, int, str]] = [(0, 0, source)]
+    pushes = 1
+    waiting = set(targets)
+    while fringe:
+        d, _, v = heappop(fringe)
+        if v in dist:
+            continue
+        dist[v] = d
+        if v in waiting:
+            waiting.remove(v)
+            if not waiting:
+                break
+        for u, length_km, duct in adjacency[v]:
+            if u in dist or duct in cut:
+                continue
+            du = d + length_km
+            if u not in seen or du < seen[u]:
+                seen[u] = du
+                pred[u] = v
+                heappush(fringe, (du, pushes, u))
+                pushes += 1
+    return dist, pred
 
 
 def _used_ducts(paths: Mapping[Pair, tuple[str, ...]]) -> set[Duct]:
@@ -113,10 +184,14 @@ def _paths_chunk(
     """Worker: evaluate one chunk of scenarios (module-level for pickling)."""
     fmap, sla_fiber_km = shared
     obs.incr("paths.scenarios", len(scenarios))
-    return [
-        compute_scenario_paths(fmap, scenario, sla_fiber_km)
+    adjacency = _adjacency(fmap)
+    dcs = fmap.dcs
+    out = [
+        _scenario_paths(adjacency, dcs, scenario, sla_fiber_km)
         for scenario in scenarios
     ]
+    obs.incr("enumerate.dijkstra_runs", len(scenarios) * max(len(dcs) - 1, 0))
+    return out
 
 
 def _evaluate_scenarios(
@@ -274,6 +349,22 @@ class DuctSizing(Protocol):
     ) -> int: ...
 
 
+def _pairs_by_duct(paths: Mapping[Pair, tuple[str, ...]]) -> dict[Duct, list[Pair]]:
+    """Every used duct's DC pairs, oriented along their traversal.
+
+    One pass over the (simple) paths yields, per duct, what
+    :func:`~repro.core.hose.oriented_pairs_through_edge` returns for it.
+    """
+    crossing: dict[Duct, list[Pair]] = {}
+    for (a, b), path in paths.items():
+        for x, y in zip(path, path[1:]):
+            if x < y:
+                crossing.setdefault((x, y), []).append((a, b))
+            else:
+                crossing.setdefault((y, x), []).append((b, a))
+    return crossing
+
+
 @worker_safe
 def _capacity_chunk(
     shared: tuple[Mapping[str, int], DuctSizing | None],
@@ -293,11 +384,12 @@ def _capacity_chunk(
     counts: dict[str, float] = {}
     edge_capacity: dict[Duct, int] = {}
     for paths in path_sets:
+        crossing = _pairs_by_duct(paths)
         # Sorted so the hose lookup order — and with it the cache's
         # cold/incremental split — is hash-seed independent. The merged
         # capacities never depended on this order.
-        for edge in sorted(_used_ducts(paths)):
-            oriented = tuple(sorted(oriented_pairs_through_edge(edge, paths)))
+        for edge in sorted(crossing):
+            oriented = tuple(sorted(crossing[edge]))
             needed = hose_capacity(oriented, dc_fibers)
             if sizing is not None:
                 needed = sizing.size(oriented, needed, counts)

@@ -163,6 +163,11 @@ def _canonical(payload: dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _drain_timeout(request: dict[str, Any]) -> float:
+    """A ``shutdown`` request's drain deadline in seconds."""
+    return float(request.get("timeout_s", 30.0))
+
+
 class PlannerService:
     """The daemon behind ``iris serve``. See the module docstring.
 
@@ -320,7 +325,28 @@ class PlannerService:
 
     def handle(self, request: dict[str, Any]) -> dict[str, Any]:
         """Serve one protocol request; never raises, errors become
-        ``{"ok": false, "error": ...}`` responses."""
+        ``{"ok": false, "error": ...}`` responses. An accepted
+        ``shutdown`` has started draining when this returns."""
+        response = self._respond(request)
+        self._after_reply(request, response)
+        return response
+
+    def _after_reply(
+        self, request: dict[str, Any], response: dict[str, Any]
+    ) -> None:
+        """Start what a reply announces, once it has been sent: the drain
+        of an accepted ``shutdown``. An idle daemon drains, closes and
+        exits at once, so a drain started earlier can beat the reply out
+        of the process."""
+        if response.get("ok") and response.get("op") == "shutdown":
+            threading.Thread(
+                target=self.drain,
+                args=(_drain_timeout(request),),
+                name="iris-drain",
+                daemon=True,
+            ).start()
+
+    def _respond(self, request: dict[str, Any]) -> dict[str, Any]:
         try:
             check_protocol_version(request)
             op = request.get("op")
@@ -357,13 +383,7 @@ class PlannerService:
                     "draining": draining,
                 }
             if op == "shutdown":
-                timeout_s = float(request.get("timeout_s", 30.0))
-                threading.Thread(
-                    target=self.drain,
-                    args=(timeout_s,),
-                    name="iris-drain",
-                    daemon=True,
-                ).start()
+                _drain_timeout(request)  # a bad timeout is an error reply
                 return {"ok": True, "op": "shutdown", "draining": True}
             return {"ok": False, "error": f"unknown op {op!r}"}
         except ReproError as exc:
@@ -659,10 +679,12 @@ class PlannerService:
                         return
                     if request is None:
                         return
-                    response = self.handle(request)
+                    response = self._respond(request)
                     try:
                         conn.sendall(encode_message(response))
                     except OSError:
                         return
+                    finally:
+                        self._after_reply(request, response)
             finally:
                 stream.close()

@@ -56,8 +56,8 @@ entries never reorder the rest), and the returned paths are identical.
 Equality is deliberately *excluded* — an equal-length alternative could
 win a tie — and a float tolerance pads the comparison, so uncertainty
 always falls back to an honest cold evaluation. The check itself is one
-cutoff-bounded single-pair Dijkstra, far cheaper than the full
-all-pairs evaluation it saves.
+single-pair run of the planner's Dijkstra kernel, stopped once ``v``
+settles, far cheaper than the full all-pairs evaluation it saves.
 
 Everything the oracle declines is recomputed cold by the normal backend
 fan-out; the capacity phase then runs unmodified over the (identical)
@@ -70,18 +70,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro import obs
 from repro.core.engine import CancelToken
 from repro.core.failures import Scenario
 from repro.core.hose import invalidate_hose_dcs
 from repro.core.plan import IrisPlan, Pair, TopologyPlan
 from repro.core.planner import IrisPlanner
-from repro.core.topology import plan_topology, prune_overlong_ducts
+from repro.core.topology import (
+    _Adjacency,
+    _adjacency,
+    _dijkstra,
+    plan_topology,
+    prune_overlong_ducts,
+)
 from repro.exceptions import PlanningError
 from repro.region.delta import RegionDelta
-from repro.region.fibermap import Duct, FiberMap, RegionSpec
+from repro.region.fibermap import Duct, FiberMap, RegionSpec, duct_key
 from repro.units import IRIS_MAX_DUCT_KM
 
 #: Strictness pad for the bypass check: a shorter route must beat the
@@ -141,6 +145,7 @@ class DeltaPathOracle:
         #: *new* map for ``cut`` (d already absent), the *old* map for
         #: ``add`` (d not yet present).
         self.check_map = check_map
+        self._adjacency: _Adjacency | None = None
         self.stats = DeltaStats(mode=mode)
 
     def lookup(self, scenario: Scenario) -> dict[Pair, tuple[str, ...]] | None:
@@ -185,14 +190,13 @@ class DeltaPathOracle:
         assert self.length_km is not None
         self.stats.checked += 1
         u, v = self.duct
-        graph = self.check_map.subgraph_without(scenario)
-        try:
-            dist = nx.dijkstra_path_length(
-                graph, u, v, weight="length_km"
-            )
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        if self._adjacency is None:
+            self._adjacency = _adjacency(self.check_map)
+        if u not in self._adjacency:
             return False
-        return dist < self.length_km - _STRICT_EPS
+        cut = {duct_key(a, b) for a, b in scenario}
+        dist, _ = _dijkstra(self._adjacency, u, [v], cut)
+        return v in dist and dist[v] < self.length_km - _STRICT_EPS
 
 
 def _pruned_ducts(fmap: FiberMap) -> dict[Duct, float]:

@@ -110,3 +110,9 @@ class TestPlacement:
         for link in links:
             assert link.fiber_pairs == 4  # pair demand min(4, 4)
             assert link.spans == len(link.via) - 1
+        # Only partial steps apply here, so the path stays violating
+        # after the first actions and must be worked on until it closes.
+        from repro.optics.constraints import violations
+
+        for path in updated.values():
+            assert violations(path.profile()) == []

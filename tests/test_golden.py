@@ -7,6 +7,9 @@ show up as a diff here rather than as silent drift in the benchmarks.
 Update the constants deliberately when a change is intentional.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro import api, obs
@@ -16,6 +19,7 @@ from repro.core.planner import plan_region
 from repro.cost.estimator import estimate_cost
 from repro.designs.eps import eps_inventory
 from repro.region.catalog import make_region
+from repro.serialize import plan_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +92,16 @@ class TestGoldenObservability:
         assert record.total("scenarios.evaluated") == 217
         assert record.total("hose.lookups") == 15762  # enumerate + capacity
 
+    def test_per_path_work_totals(self, traced_plan):
+        """Per-path work is done once per distinct path: one Dijkstra per
+        DC with a higher-named DC left to route to (4 of 5), one
+        EffectivePath per distinct route, one cut-through record per
+        distinct effective path."""
+        _, record = traced_plan
+        assert record.total("enumerate.dijkstra_runs") == 217 * 4
+        assert record.total("amplifiers.paths_built") == 104
+        assert record.total("cutthrough.paths_evaluated") == 144
+
     def test_incremental_solve_totals(self, traced_plan):
         """ISSUE 6 acceptance: >= 5x fewer cold solves than the 92
         all-cold misses the pre-incremental planner performed."""
@@ -115,3 +129,49 @@ class TestGoldenObservability:
             "plan.amplifiers", "plan.cutthrough", "plan.residual",
             "plan.validate",
         } <= names
+
+
+def _canonical_digest(plan) -> str:
+    """sha256 of the daemon's encoding: compact, sorted full-plan JSON."""
+    text = json.dumps(
+        plan_to_dict(plan, full=True), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: (map, DCs) -> canonical digest prefix of the catalog region's plan.
+GOLDEN_DIGESTS = {
+    (0, 4): "3cbb46ff3cf14cfe",
+    (0, 5): "7dcdb425be375f6b",
+    (1, 5): "b3cb113b6dd1af88",
+    (2, 5): "27667e9e3401f96a",
+    (3, 5): "c368bc88e7d4de52",
+    (0, 6): "2e3d91bb859f6b5a",
+    (1, 6): "87ef8d778f769e40",
+    (2, 6): "2b624e9a80b37a49",
+    (3, 6): "c788b80e90519c60",
+}
+
+
+class TestGoldenPlanBytes:
+    """The plan bytes the daemon serves, pinned for nine catalog regions.
+
+    Any change to a tie-break — in Dijkstra, in the amplifier or the
+    cut-through greedy — moves these digests. They do not depend on
+    ``PYTHONHASHSEED``.
+    """
+
+    @staticmethod
+    def _digest(cell, jobs):
+        region = make_region(
+            cell[0], cell[1], dc_fibers=8, failure_tolerance=2, seed=2020
+        ).spec
+        return _canonical_digest(api.plan(region, config=PlannerConfig(jobs=jobs)))
+
+    @pytest.mark.parametrize("cell", sorted(GOLDEN_DIGESTS))
+    def test_serial_plan_bytes(self, cell):
+        assert self._digest(cell, jobs=1)[:16] == GOLDEN_DIGESTS[cell]
+
+    @pytest.mark.parametrize("cell", [(0, 5), (1, 6)])
+    def test_parallel_plan_bytes(self, cell):
+        assert self._digest(cell, jobs=2)[:16] == GOLDEN_DIGESTS[cell]

@@ -13,6 +13,7 @@ from repro.core.hose import (
     naive_sum_capacity,
     oriented_pairs_through_edge,
 )
+from repro.region.fibermap import duct_key
 
 
 class TestOrientedPairs:
@@ -47,6 +48,42 @@ class TestOrientedPairs:
         oriented = oriented_pairs_through_edge(("A", "X"), paths)
         # The pair key's path runs B->A, crossing X->A, i.e. from B's side.
         assert oriented == [("B", "A")]
+
+
+def _oriented_pairs_hop_by_hop(edge, paths):
+    """The per-hop reference: canonicalize every hop until one is ``edge``."""
+    out = []
+    for (a, b), path in paths.items():
+        for x, y in zip(path, path[1:]):
+            if duct_key(x, y) == edge:
+                out.append((a, b) if (x, y) == edge else (b, a))
+                break
+    return out
+
+
+_NODES = ("A", "B", "C", "D", "E", "F")
+_simple_paths = st.permutations(_NODES).flatmap(
+    lambda order: st.integers(min_value=2, max_value=len(order)).map(
+        lambda k: tuple(order[:k])
+    )
+)
+
+
+class TestOrientedPairsMatchesHopScan:
+    @given(
+        paths=st.dictionaries(
+            keys=st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES)),
+            values=_simple_paths,
+            max_size=8,
+        ),
+        ends=st.lists(st.sampled_from(_NODES), min_size=2, max_size=2, unique=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_pairs_in_same_order(self, paths, ends):
+        edge = duct_key(*ends)
+        assert oriented_pairs_through_edge(
+            edge, paths
+        ) == _oriented_pairs_hop_by_hop(edge, paths)
 
 
 class TestHoseCapacity:

@@ -19,7 +19,7 @@ from repro.exceptions import InfeasibleRegionError, RegionError
 from repro.region.catalog import make_region
 from repro.region.delta import DELTA_KINDS, RegionDelta, delta_from_dict
 from repro.serialize import plan_to_json
-from repro.service.replan import DeltaStats, apply_delta
+from repro.service.replan import DeltaPathOracle, DeltaStats, apply_delta
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +202,39 @@ def _delta_strategy(region):
         ),
         st.just(RegionDelta.price_changed(amplifier=999.0)),
     )
+
+
+class TestBypassCheck:
+    """The strict-bypass check runs the planner's Dijkstra kernel. For
+    every DC pair as the candidate duct and every enumerated scenario,
+    its verdict must be networkx's distance on the scenario's subgraph,
+    for a duct just below, at, just above and well above the no-failure
+    distance."""
+
+    @pytest.mark.parametrize("slack_km", [-1e-6, 0.0, 1e-6, 0.5])
+    def test_verdicts_match_networkx(self, base_plan, slack_km):
+        fmap = base_plan.region.fiber_map
+        scenarios = base_plan.topology.scenarios
+        verdicts = set()
+        for u, v in sorted(base_plan.topology.base_paths):
+            length_km = fmap.fiber_distance(u, v) + slack_km
+            oracle = DeltaPathOracle(
+                {}, "add", duct=(u, v), length_km=length_km, check_map=fmap
+            )
+            for scenario in scenarios:
+                try:
+                    dist = nx.dijkstra_path_length(
+                        fmap.subgraph_without(scenario), u, v, weight="length_km"
+                    )
+                except nx.NetworkXNoPath:
+                    expected = False
+                else:
+                    expected = dist < length_km - 1e-9
+                assert oracle._d_is_irrelevant(scenario) is expected
+                verdicts.add(expected)
+        # At or below the no-failure distance nothing is strictly shorter;
+        # above it, scenarios that cut every short route say no.
+        assert verdicts == ({False} if slack_km <= 0 else {False, True})
 
 
 class TestDeltaParityProperty:

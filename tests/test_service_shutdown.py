@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import socket as socket_mod
 import threading
+import time
 
 import pytest
 
@@ -257,3 +258,38 @@ class TestStatsUnderLockRegression:
         assert response["ok"] and response["draining"] is True
         rejected = service.handle(_submit_request(toy_region))
         assert not rejected["ok"] and rejected.get("rejected")
+
+
+class TestShutdownReply:
+    def test_reply_is_sent_before_the_drain_starts(self, monkeypatch):
+        """An idle daemon drains and closes at once, and ``iris serve``
+        then exits: a drain started before the ``shutdown`` reply is
+        written can take the reply down with the process."""
+        events = []
+        real_sendall = socket_mod.socket.sendall
+
+        def sendall(sock, data, *args):
+            if b'"draining"' not in data:
+                return real_sendall(sock, data, *args)
+            # Hold the reply back: a drain started early runs meanwhile.
+            time.sleep(0.2)
+            real_sendall(sock, data, *args)
+            events.append("reply sent")
+
+        service = PlannerService(ServiceConfig(workers=1))
+        real_drain = service.drain
+
+        def drain(timeout_s=30.0):
+            events.append("drain")
+            return real_drain(timeout_s)
+
+        monkeypatch.setattr(socket_mod.socket, "sendall", sendall)
+        monkeypatch.setattr(service, "drain", drain)
+        service.start()
+        try:
+            with ServiceClient(service.address) as client:
+                assert client.shutdown(timeout_s=5)["draining"] is True
+            assert service.wait_closed(timeout=30)
+        finally:
+            service.close()
+        assert events == ["reply sent", "drain"]

@@ -1,6 +1,8 @@
 """Algorithm 1: topology & capacity planning, and the enumeration pruning."""
 
+import networkx as nx
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.failures import Scenario, all_failure_scenarios, scenario_count
 from repro.core.topology import (
@@ -9,12 +11,13 @@ from repro.core.topology import (
     plan_topology,
     prune_overlong_ducts,
 )
-from repro.exceptions import InfeasibleRegionError
+from repro.exceptions import InfeasibleRegionError, RegionError
 from repro.region.catalog import make_region
 from repro.region.fibermap import (
     FiberMap,
     OperationalConstraints,
     RegionSpec,
+    pair_key,
 )
 
 from tests.conftest import build_toy_map
@@ -70,6 +73,114 @@ class TestScenarioPaths:
         # Cross pairs: 50 + 40 + 50 = 140 km > 120 km SLA.
         with pytest.raises(InfeasibleRegionError, match="SLA"):
             compute_scenario_paths(fmap, Scenario(), sla_fiber_km=120.0)
+
+
+def _networkx_paths(fmap, scenario, sla_fiber_km=None):
+    """The reference: one full ``nx.single_source_dijkstra`` per DC on the
+    scenario's subgraph view, errors raised in (source, target) order."""
+    graph = fmap.subgraph_without(scenario)
+    dcs = fmap.dcs
+    paths = {}
+    for source in dcs:
+        lengths, routes = nx.single_source_dijkstra(graph, source, weight="length_km")
+        for target in dcs:
+            if target <= source:
+                continue
+            pair = pair_key(source, target)
+            if target not in lengths:
+                raise InfeasibleRegionError(
+                    f"DC pair {pair} disconnected when ducts "
+                    f"{sorted(scenario)} are cut",
+                    scenario=scenario,
+                    pair=pair,
+                )
+            if sla_fiber_km is not None and lengths[target] > sla_fiber_km + 1e-9:
+                raise InfeasibleRegionError(
+                    f"DC pair {pair} at {lengths[target]:.1f} km exceeds the "
+                    f"{sla_fiber_km:.0f} km SLA when ducts "
+                    f"{sorted(scenario)} are cut",
+                    scenario=scenario,
+                    pair=pair,
+                )
+            paths[pair] = tuple(routes[target])
+    return paths
+
+
+def _assert_matches_networkx(fmap, scenario, sla_fiber_km=None):
+    try:
+        expected = _networkx_paths(fmap, scenario, sla_fiber_km)
+    except InfeasibleRegionError as reference:
+        with pytest.raises(InfeasibleRegionError) as exc:
+            compute_scenario_paths(fmap, scenario, sla_fiber_km)
+        assert exc.value.pair == reference.pair
+        assert exc.value.scenario == reference.scenario
+        assert str(exc.value) == str(reference)
+    else:
+        got = compute_scenario_paths(fmap, scenario, sla_fiber_km)
+        assert list(got.items()) == list(expected.items())
+
+
+class TestDijkstraKernel:
+    """``compute_scenario_paths`` runs its own Dijkstra; its routes, ties
+    included, and its errors must be networkx's."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_dcs=st.integers(min_value=3, max_value=6),
+        cuts=st.lists(st.integers(min_value=0, max_value=10_000), max_size=2),
+        sla_fiber_km=st.sampled_from([None, 120.0, 45.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_networkx_on_generated_regions(
+        self, seed, n_dcs, cuts, sla_fiber_km
+    ):
+        try:
+            instance = make_region(map_index=0, n_dcs=n_dcs, seed=seed)
+        except RegionError:
+            assume(False)
+        fmap = instance.spec.fiber_map
+        ducts = fmap.ducts
+        scenario = Scenario(ducts[i % len(ducts)] for i in cuts)
+        _assert_matches_networkx(fmap, scenario, sla_fiber_km)
+
+    def test_isolated_dc_raises_networkx_first_pair(self):
+        fmap = make_region(map_index=0, n_dcs=4, seed=7).spec.fiber_map
+        for dc in fmap.dcs:
+            scenario = Scenario(d for d in fmap.ducts if dc in d)
+            with pytest.raises(InfeasibleRegionError, match="disconnected"):
+                compute_scenario_paths(fmap, scenario)
+            _assert_matches_networkx(fmap, scenario)
+
+    @staticmethod
+    def _diamond(h1_first):
+        """A to B over H1 or H2, both routes 20 km: networkx keeps the
+        route through the hub whose duct A gained first."""
+        fmap = FiberMap()
+        fmap.add_dc("A", 0.0, 0.0)
+        fmap.add_dc("B", 20.0, 0.0)
+        fmap.add_hut("H1", 10.0, 5.0)
+        fmap.add_hut("H2", 10.0, -5.0)
+        ducts = [("A", "H1"), ("H1", "B"), ("A", "H2"), ("H2", "B")]
+        for u, v in ducts if h1_first else reversed(ducts):
+            fmap.add_duct(u, v, length_km=10.0)
+        return fmap
+
+    @pytest.mark.parametrize(
+        "h1_first, hub", [(True, "H1"), (False, "H2")]
+    )
+    def test_equal_length_tie_follows_duct_order(self, h1_first, hub):
+        fmap = self._diamond(h1_first)
+        assert compute_scenario_paths(fmap, Scenario()) == {
+            ("A", "B"): ("A", hub, "B")
+        }
+        _assert_matches_networkx(fmap, Scenario())
+
+    @pytest.mark.parametrize("h1_first", [True, False])
+    def test_tie_with_a_cut_duct(self, h1_first):
+        fmap = self._diamond(h1_first)
+        cut = Scenario({("A", "H1")})
+        assert compute_scenario_paths(fmap, cut) == {("A", "B"): ("A", "H2", "B")}
+        _assert_matches_networkx(fmap, cut)
 
 
 class TestPrunedEnumeration:
