@@ -15,7 +15,7 @@ Run directly for a CI smoke pass that emits the JSON trace::
         --trace-json planner_trace.jsonl
 
 or to append a trajectory row to the committed benchmark file (and gate
-on the golden hose-solve counts)::
+on the golden hose lookup and miss counts)::
 
     PYTHONPATH=src python benchmarks/bench_planner_runtime.py \\
         --json BENCH_planner.json
@@ -44,7 +44,6 @@ GOLDEN_REGION = {"map_index": 0, "n_dcs": 5, "dc_fibers": 8}
 #: Pinned golden work counts: the CI gate fails when a row exceeds them.
 GOLDEN_HOSE_LOOKUPS = 15762
 GOLDEN_HOSE_MISSES = 92
-GOLDEN_COLD_SOLVES = 7
 
 
 def plan_mid_region():
@@ -193,29 +192,20 @@ def _smoke(trace_json: str | None) -> int:
     return 0
 
 
-def _measure_golden(incremental: bool, rounds: int = 3) -> tuple:
+def _measure_golden(rounds: int = 3) -> tuple:
     """Best-of-``rounds`` cold-cache traced plans of the golden region.
 
     Returns ``(wall_s, ProfileResult, HoseCacheStats)`` for the fastest
     round (standard practice: the minimum is the least noise-polluted
     sample; the work counters are identical across rounds because every
-    round starts from a cleared cache). ``incremental=False`` disables
-    residual-state repair (every miss solves cold) to measure the
-    pre-incremental baseline on identical hardware.
+    round starts from a cleared cache).
     """
-    from repro.core.hose import (
-        clear_hose_cache,
-        configure_hose_cache,
-        hose_cache_stats,
-    )
+    from repro.core.hose import clear_hose_cache, hose_cache_stats
 
     instance = make_region(**GOLDEN_REGION)
     best: tuple | None = None
     for _ in range(rounds):
-        if incremental:
-            clear_hose_cache()  # fresh cache at the env/default bounds
-        else:
-            configure_hose_cache(state_maxsize=0)
+        clear_hose_cache()
         t0 = time.perf_counter()
         result = profile_plan(instance.spec)
         wall_s = time.perf_counter() - t0
@@ -230,29 +220,14 @@ def _bench_json(path: str) -> int:
     The file is ``{"schema_version": 1, "rows": [...]}``; each run
     appends one row, so the committed file accumulates a PR-over-PR
     runtime trajectory for the same golden region. Exits non-zero when
-    the measured hose-solve counts regress above the golden baseline
-    (more lookups, misses, or cold solves than the pinned values).
+    the measured hose counts regress from the golden baseline (other
+    lookups, or more misses, than the pinned values).
     """
     import json
 
     from repro import __version__
 
-    baseline_s, baseline_result, baseline_stats = _measure_golden(
-        incremental=False
-    )
-    wall_s, result, stats = _measure_golden(incremental=True)
-
-    def _phase_table(profile) -> dict[str, float]:
-        return {
-            row.name: round(row.total_s, 4)
-            for row in profile.phases
-            if row.name.startswith("plan.") and "level[" not in row.name
-        }
-
-    phases_s = _phase_table(result)
-    baseline_phases_s = _phase_table(baseline_result)
-    capacity_s = phases_s.get("plan.capacity", 0.0)
-    baseline_capacity_s = baseline_phases_s.get("plan.capacity", 0.0)
+    wall_s, result, stats = _measure_golden()
     row = {
         "schema_version": BENCH_SCHEMA_VERSION,
         "version": __version__,
@@ -265,18 +240,13 @@ def _bench_json(path: str) -> int:
             "hits": stats.hits,
             "misses": stats.misses,
             "cold_solves": stats.cold_solves,
-            "incremental_solves": stats.incremental_solves,
         },
-        "phases_s": phases_s,
+        "phases_s": {
+            phase.name: round(phase.total_s, 4)
+            for phase in result.phases
+            if phase.name.startswith("plan.") and "level[" not in phase.name
+        },
         "wall_s": round(wall_s, 4),
-        "wall_noincremental_s": round(baseline_s, 4),
-        "speedup_vs_noincremental": round(baseline_s / wall_s, 3)
-        if wall_s > 0
-        else float("inf"),
-        "capacity_s_noincremental": baseline_capacity_s,
-        "speedup_capacity": round(baseline_capacity_s / capacity_s, 3)
-        if capacity_s > 0
-        else float("inf"),
     }
 
     target = Path(path)
@@ -296,11 +266,7 @@ def _bench_json(path: str) -> int:
     print(f"BENCH_planner row appended to {path} "
           f"({len(payload['rows'])} row(s))")
     print(f"  scenarios {row['scenarios']}, hose lookups {hose['lookups']}, "
-          f"misses {hose['misses']} ({hose['cold_solves']} cold / "
-          f"{hose['incremental_solves']} incremental)")
-    print(f"  wall {row['wall_s']:.2f} s vs {row['wall_noincremental_s']:.2f} s "
-          f"non-incremental ({row['speedup_vs_noincremental']:.2f}x), "
-          f"baseline misses all-cold: {baseline_stats.cold_solves}")
+          f"misses {hose['misses']}, wall {row['wall_s']:.2f} s")
 
     problems = []
     if hose["lookups"] != GOLDEN_HOSE_LOOKUPS:
@@ -310,10 +276,6 @@ def _bench_json(path: str) -> int:
     if hose["misses"] > GOLDEN_HOSE_MISSES:
         problems.append(
             f"hose misses {hose['misses']} > golden {GOLDEN_HOSE_MISSES}"
-        )
-    if hose["cold_solves"] > GOLDEN_COLD_SOLVES:
-        problems.append(
-            f"cold solves {hose['cold_solves']} > golden {GOLDEN_COLD_SOLVES}"
         )
     if result.plan.validate():
         problems.append("plan failed validation")
@@ -333,7 +295,7 @@ if __name__ == "__main__":
                         help="also write the span trace as JSON lines")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="append a BENCH_planner.json trajectory row "
-                             "and gate on the golden hose-solve counts")
+                             "and gate on the golden hose lookup/miss counts")
     cli_args = parser.parse_args()
     if not cli_args.smoke and not cli_args.json:
         parser.error("this entry point supports --smoke and/or --json; "

@@ -241,7 +241,6 @@ def _run_sweep(
     prices: PriceBook | None = None,
     failure_tolerance: int = 2,
     jobs: int | None = 1,
-    backend: str | None = None,
     store: "PlanStore | None" = None,
 ) -> list[SweepRecord]:
     """Plan and price every scenario. Plans are cached per (map, n, f)
@@ -249,8 +248,7 @@ def _run_sweep(
 
     ``jobs`` fans the per-(map, n, f) planning out over worker processes
     (grid-point parallelism); pricing stays in the parent, so records are
-    identical to a serial run. ``backend`` selects the execution backend
-    by name (see :func:`repro.core.engine.get_backend`).
+    identical to a serial run.
 
     ``store`` checkpoints each cell's planning products as that cell
     finishes (not at the end of the sweep), so an interrupted campaign
@@ -291,7 +289,7 @@ def _run_sweep(
         # minutes of work at paper scale) and every completed cell can be
         # checkpointed the moment its result streams back.
         chunks = [[point] for _, point in pending]
-        with get_backend(jobs, backend) as engine_backend:
+        with get_backend(jobs) as engine_backend:
             for (key, point), result in zip(
                 pending,
                 engine_backend.iter_chunks(

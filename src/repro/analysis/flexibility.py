@@ -53,17 +53,15 @@ def flexibility_gains(
     instances: Sequence[RegionInstance],
     spacing_km: float = 2.5,
     jobs: int | None = 1,
-    backend: str | None = None,
 ) -> list[tuple[str, float]]:
     """(region name, area gain) per region, in ensemble order.
 
     ``jobs`` fans the per-region service-area rasterization out over
-    worker processes (``backend`` names the execution backend); output
-    order is ensemble order either way.
+    worker processes; output order is ensemble order either way.
     """
     if not instances:
         raise ReproError("empty ensemble")
-    with get_backend(jobs, backend) as backend:
+    with get_backend(jobs) as backend:
         return map_in_chunks(
             backend, _instance_gains, spacing_km, list(instances)
         )

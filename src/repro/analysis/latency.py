@@ -52,15 +52,14 @@ def latency_inflation_ratios(
     instances: Sequence[RegionInstance],
     direct_route_factor: float = DIRECT_ROUTE_FACTOR,
     jobs: int | None = 1,
-    backend: str | None = None,
 ) -> list[float]:
     """All DC pairs' hub-path / direct-path distance ratios.
 
-    ``jobs`` fans the per-region computation out over worker processes
-    (``backend`` names the execution backend); the result order
-    (ensemble order, pairs within each region) is backend-independent.
+    ``jobs`` fans the per-region computation out over worker processes;
+    the result order (ensemble order, pairs within each region) is
+    independent of it.
     """
-    with get_backend(jobs, backend) as backend:
+    with get_backend(jobs) as backend:
         per_instance = map_in_chunks(
             backend, _instance_ratios, direct_route_factor, list(instances)
         )

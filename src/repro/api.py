@@ -24,11 +24,12 @@ former loose keyword         ``PlannerConfig`` field
 ``store=PlanStore(...)``     ``store=PlanStore(...)``
 ``prune_enumeration=False``  ``prune_enumeration=False``
 ``validate=False``           ``validate=False``
-(not previously exposed)     ``backend="steal"``
 (not previously exposed)     ``trace=True``
-``REPRO_HOSE_CACHE_MAXSIZE`` ``hose_cache_maxsize=...``
-``REPRO_HOSE_STATE_MAXSIZE`` ``hose_state_maxsize=...``
 ===========================  =============================
+
+Since 1.11 ``jobs`` alone picks serial or the process pool, and the hose
+cache bound is a fixed module constant: the former backend and hose-cache
+fields, and their environment fallbacks, are gone.
 
 The module imports lazily: ``import repro`` pulls in :class:`PlannerConfig`
 without loading the planner, simulator, or sweep machinery.
@@ -72,14 +73,10 @@ class PlannerConfig:
         stays serial and never spawns a pool, ``N > 1`` uses ``N``
         processes, ``0`` uses every CPU. Results are bit-identical across
         values.
-    ``backend``
-        Execution backend name (``"serial"``, ``"process"``, ``"steal"``;
-        see :data:`repro.core.engine.BACKEND_NAMES`). ``None`` picks
-        serial for ``jobs=1`` and work-stealing otherwise.
     ``store``
         Optional :class:`repro.store.PlanStore` checkpointing planning
-        products; ``jobs``/``backend`` are execution details and never
-        part of store keys.
+        products; ``jobs`` is an execution detail and never part of
+        store keys.
     ``prune_enumeration``
         Use the exact pruned failure enumeration (default). Brute force
         is exponentially slower and only useful to validate the pruning.
@@ -90,13 +87,6 @@ class PlannerConfig:
         finished span tree retrievable via :func:`last_trace`. Only
         :func:`plan` honors this; :func:`sweep` ignores it (worker
         shards are merged by the planner itself).
-    ``hose_cache_maxsize`` / ``hose_state_maxsize``
-        Per-process hose-cache bounds (value-memo entries / residual
-        networks kept for incremental repair). ``None`` defers to the
-        ``REPRO_HOSE_CACHE_MAXSIZE`` / ``REPRO_HOSE_STATE_MAXSIZE``
-        environment fallbacks, then the built-in defaults; an explicit
-        value rebuilds the cache via
-        :func:`repro.core.hose.configure_hose_cache` before planning.
     ``traffic``
         A :class:`repro.designs.robust.TrafficEnsembleSpec` configuring
         the TM ensemble for ``design="robust"`` (default spec when
@@ -106,13 +96,10 @@ class PlannerConfig:
     """
 
     jobs: int | None = 1
-    backend: str | None = None
     store: "PlanStore | None" = None
     prune_enumeration: bool = True
     validate: bool = True
     trace: bool = False
-    hose_cache_maxsize: int | None = None
-    hose_state_maxsize: int | None = None
     traffic: "TrafficEnsembleSpec | None" = None
 
 
@@ -127,18 +114,6 @@ _LAST_TRACE: list = [None]
 def last_trace() -> "SpanRecord | None":
     """The span tree of the most recent traced :func:`plan` call, if any."""
     return _LAST_TRACE[0]
-
-
-def _apply_hose_config(config: PlannerConfig) -> None:
-    """Rebuild the hose cache when the config pins explicit bounds."""
-    if config.hose_cache_maxsize is None and config.hose_state_maxsize is None:
-        return
-    from repro.core.hose import configure_hose_cache
-
-    configure_hose_cache(
-        maxsize=config.hose_cache_maxsize,
-        state_maxsize=config.hose_state_maxsize,
-    )
 
 
 def plan(
@@ -158,7 +133,6 @@ def plan(
     (e.g. ``hubs=`` for ``"centralized"``) are forwarded to the designer.
     """
     config = config or _DEFAULT_CONFIG
-    _apply_hose_config(config)
     if config.trace:
         from repro import obs
 
@@ -183,7 +157,6 @@ def _plan(
             prune_enumeration=config.prune_enumeration,
             validate=config.validate,
             jobs=config.jobs,
-            backend=config.backend,
             store=config.store,
         )
 
@@ -198,7 +171,6 @@ def _plan(
             prune_enumeration=config.prune_enumeration,
             validate=config.validate,
             jobs=config.jobs,
-            backend=config.backend,
             store=config.store,
         )
 
@@ -207,7 +179,6 @@ def _plan(
     options = dict(design_options)
     if design in ("iris", "eps", "hybrid", "robust"):
         options.setdefault("jobs", config.jobs)
-        options.setdefault("backend", config.backend)
         options.setdefault("store", config.store)
     if design == "robust" and config.traffic is not None:
         options.setdefault("traffic", config.traffic)
@@ -232,14 +203,12 @@ def apply_delta(
     and raises on any divergence (for tests and drills).
     """
     config = config or _DEFAULT_CONFIG
-    _apply_hose_config(config)
     from repro.service.replan import apply_delta as _apply_delta
 
     return _apply_delta(
         plan,
         delta,
         jobs=config.jobs,
-        backend=config.backend,
         prune_enumeration=config.prune_enumeration,
         validate=config.validate,
         verify=verify,
@@ -256,12 +225,11 @@ def sweep(
     """Plan and price the Fig 12 design-space grid (see
     :func:`repro.analysis.designspace._run_sweep` for semantics).
 
-    ``config`` supplies the execution options (``jobs``, ``backend``,
-    ``store``, hose-cache bounds); the domain arguments stay positional
-    on this facade because they are inputs, not execution details.
+    ``config`` supplies the execution options (``jobs``, ``store``); the
+    domain arguments stay positional on this facade because they are
+    inputs, not execution details.
     """
     config = config or _DEFAULT_CONFIG
-    _apply_hose_config(config)
     from repro.analysis.designspace import _run_sweep
 
     return _run_sweep(
@@ -269,7 +237,6 @@ def sweep(
         prices=prices,
         failure_tolerance=failure_tolerance,
         jobs=config.jobs,
-        backend=config.backend,
         store=config.store,
     )
 

@@ -98,13 +98,6 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="worker processes (1=serial, 0=all CPUs)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("serial", "process", "steal"),
-        default=None,
-        help="execution backend (default: serial for --jobs 1, "
-        "work-stealing otherwise)",
-    )
 
 
 def _add_store_args(parser: argparse.ArgumentParser) -> None:
@@ -193,9 +186,7 @@ def cmd_plan(args) -> int:
         traffic = TrafficEnsembleSpec(
             count=args.traffic, seed=args.traffic_seed
         )
-    config = PlannerConfig(
-        jobs=args.jobs, backend=args.backend, store=store, traffic=traffic
-    )
+    config = PlannerConfig(jobs=args.jobs, store=store, traffic=traffic)
     with _maybe_traced(args):
         plan = api_plan(region, design=design, config=config)
     _report_store_traffic(store)
@@ -274,7 +265,7 @@ def cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return 2
-    config = PlannerConfig(jobs=args.jobs, backend=args.backend, store=store)
+    config = PlannerConfig(jobs=args.jobs, store=store)
     with _maybe_traced(args):
         records = api_sweep(points, config=config)
     _report_store_traffic(store)
@@ -345,17 +336,13 @@ def cmd_analyze(args) -> int:
     from repro.region.catalog import region_ensemble
 
     instances = region_ensemble(count=args.regions, n_dcs_range=(5, 9))
-    ratios = latency_inflation_ratios(
-        instances, jobs=args.jobs, backend=args.backend
-    )
+    ratios = latency_inflation_ratios(instances, jobs=args.jobs)
     print(f"latency inflation over {len(ratios)} DC pairs "
           f"({args.regions} regions):")
     for threshold in (1.0, 1.5, 2.0, 4.0):
         frac = fraction_at_least(ratios, threshold)
         print(f"  >= {threshold:.1f}x: {frac * 100:5.1f}%")
-    gains = flexibility_gains(
-        instances, spacing_km=4.0, jobs=args.jobs, backend=args.backend
-    )
+    gains = flexibility_gains(instances, spacing_km=4.0, jobs=args.jobs)
     values = sorted(g for _, g in gains)
     print(f"siting-area gain (distributed / centralized): "
           f"median {values[len(values) // 2]:.1f}x, "
@@ -598,7 +585,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         queue_size=args.queue_size,
         jobs=args.jobs,
-        backend=args.backend,
         job_timeout_s=args.job_timeout,
     )
     service = PlannerService(config, store=_open_store(args)).start()

@@ -314,10 +314,11 @@ def place_cut_throughs(
             return max(capacity * (len(chain) - 1) * prices.fiber_pair_span, 1e-9)
 
         def amp_cost(site: str) -> float:
-            demand_now = dict(served[site])
+            # Read-only on ``served``: indexing its defaultdicts here would
+            # insert the empty pair lists of every scenario scored.
+            demand_now = dict(served.get(site, {}))
             for (scenario, pair) in amp_resolves[site]:
-                demand_now.setdefault(scenario, list(served[site][scenario]))
-                demand_now[scenario] = demand_now[scenario] + [pair]
+                demand_now[scenario] = demand_now.get(scenario, []) + [pair]
             needed = max(
                 hose_capacity(pairs, region.dc_fibers)
                 for pairs in demand_now.values()

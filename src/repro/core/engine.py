@@ -4,20 +4,17 @@ Algorithm 1's hot path — evaluating shortest paths and hose max-flows for
 every pruned failure scenario — is embarrassingly parallel at the scenario
 level: each scenario's Dijkstra run and each scenario's per-duct hose
 max-flows depend only on the fiber map and that scenario. This module
-provides the pluggable execution layer the planner (and the design-space
-sweep) fan out over. Backends implement the :class:`ExecutionBackend`
-protocol; three ship here, selectable via ``get_backend(jobs, backend=)``:
+provides the execution layer the planner (and the design-space sweep) fan
+out over. Backends implement the :class:`ExecutionBackend` protocol;
+``get_backend(jobs)`` picks one of two from the worker count:
 
-* :class:`SerialBackend` (``"serial"``) — evaluate chunks inline, in
-  order, in-process; guaranteed never to spawn a worker pool.
-* :class:`ProcessBackend` (``"process"``) — evaluate statically
-  partitioned chunks in ``jobs`` worker processes via
-  :class:`concurrent.futures.ProcessPoolExecutor`.
-* :class:`WorkStealingBackend` (``"steal"``, the default for ``jobs > 1``)
-  — the same pool fed a deterministic *fine-grained* chunk queue
-  (:func:`guided_partition`): many decreasing-size chunks that idle
-  workers drain dynamically, so an expensive scenario no longer strands
-  its statically assigned neighbours behind it.
+* :class:`SerialBackend` (one worker) — evaluate chunks inline, in order,
+  in-process; guaranteed never to spawn a worker pool.
+* :class:`ProcessBackend` (two or more) — ``jobs`` worker processes via
+  :class:`concurrent.futures.ProcessPoolExecutor`, fed a deterministic
+  queue of decreasing-size chunks (:func:`guided_partition`) that idle
+  workers drain, so an expensive scenario does not strand the work
+  queued behind it.
 
 Determinism contract (see :class:`ExecutionBackend`): a backend runs
 ``fn(shared, chunk)`` over a list of chunks and returns the per-chunk
@@ -29,7 +26,7 @@ backend's own :meth:`~SerialBackend.plan_chunks` (always contiguous and
 order-preserving); callers merge with order-independent operations
 (per-duct maxima), so which worker ran which chunk — and in what order
 chunks *finished* — cannot change the output: parallel plans are
-bit-identical to serial ones, work-stealing included.
+bit-identical to serial ones.
 
 Observability: when global tracing is on (:func:`repro.obs.enabled`), each
 chunk runs under a fresh :func:`repro.obs.capture` — in the worker process
@@ -68,14 +65,13 @@ from repro.obs import SpanRecord
 
 T = TypeVar("T")
 
-#: Chunks submitted per worker per fan-out under *static* partitioning:
-#: small enough to amortize the per-chunk pickling of the shared payload,
-#: large enough to balance load when per-scenario costs vary.
+#: Chunks the serial backend splits a fan-out into (for trace shape only).
 CHUNKS_PER_WORKER = 4
 
-#: Backend names accepted by :func:`get_backend` (and the ``--backend``
-#: CLI flag). ``"steal"`` is the work-stealing pool.
-BACKEND_NAMES = ("serial", "process", "steal")
+#: Guided chunking: each chunk takes ``1 / (GUIDED_FACTOR * workers)`` of
+#: the remaining items, and never fewer than ``GUIDED_MIN_CHUNK``.
+GUIDED_FACTOR = 2
+GUIDED_MIN_CHUNK = 1
 
 
 @runtime_checkable
@@ -249,38 +245,28 @@ def partition(items: Sequence[T], n_chunks: int) -> list[list[T]]:
     return out
 
 
-def guided_partition(
-    items: Sequence[T],
-    workers: int,
-    *,
-    factor: int = 2,
-    min_chunk: int = 1,
-) -> list[list[T]]:
+def guided_partition(items: Sequence[T], workers: int) -> list[list[T]]:
     """Split ``items`` into contiguous chunks of *decreasing* size.
 
     Guided self-scheduling: each chunk takes ``ceil(remaining /
-    (factor * workers))`` items (never fewer than ``min_chunk``), so the
-    queue starts with chunks big enough to amortize dispatch and ends
-    with fine-grained ones that level out whatever imbalance the early
-    chunks left. The split depends only on ``len(items)`` and the
-    parameters — it is deterministic, order-preserving (concatenating the
-    chunks reproduces ``items``), and never returns an empty chunk, so a
-    pool draining it dynamically still satisfies the
-    :class:`ExecutionBackend` contract.
+    (GUIDED_FACTOR * workers))`` items (never fewer than
+    ``GUIDED_MIN_CHUNK``), so the queue starts with chunks big enough to
+    amortize dispatch and ends with fine-grained ones that level out
+    whatever imbalance the early chunks left. The split depends only on
+    ``len(items)`` and ``workers`` — it is deterministic,
+    order-preserving (concatenating the chunks reproduces ``items``), and
+    never returns an empty chunk, so a pool draining it dynamically still
+    satisfies the :class:`ExecutionBackend` contract.
     """
     if workers < 1:
         raise ReproError(f"need at least one worker, got {workers}")
-    if factor < 1 or min_chunk < 1:
-        raise ReproError(
-            f"factor and min_chunk must be positive, got {factor}, {min_chunk}"
-        )
     items = list(items)
     n = len(items)
     out: list[list[T]] = []
     start = 0
     while start < n:
         remaining = n - start
-        size = max(min_chunk, -(-remaining // (factor * workers)))
+        size = max(GUIDED_MIN_CHUNK, -(-remaining // (GUIDED_FACTOR * workers)))
         size = min(size, remaining)
         out.append(items[start : start + size])
         start += size
@@ -380,6 +366,16 @@ class ProcessBackend:
     chunk items must be picklable module-level objects; exceptions raised
     in workers propagate to the caller.
 
+    Work is fed as many chunks of decreasing size (:func:`guided_partition`)
+    into the pool's shared queue, and an idle worker pulls the next chunk
+    the moment it finishes, so one expensive scenario (a dense failure set
+    whose Dijkstra and hose solves dwarf its neighbours') does not leave
+    ``jobs - 1`` workers idle behind it. The chunk *list* is a pure
+    function of the work list, results are yielded in submission order,
+    and callers merge order-insensitively, so ``jobs=4`` plans are
+    byte-identical to ``jobs=1``; only wall time and the per-process
+    cache-warmth counters may differ.
+
     Interrupts never orphan workers: a ``KeyboardInterrupt``/``SystemExit``
     reaching a fan-out (Ctrl-C, SIGTERM via a raising handler) — or a
     :class:`JobCancelled` from the backend's :class:`CancelToken` — tears
@@ -419,8 +415,8 @@ class ProcessBackend:
                 continue
 
     def plan_chunks(self, items: Sequence[T]) -> list[list[T]]:
-        """Static balanced chunks, a few per worker."""
-        return partition(items, self.jobs * CHUNKS_PER_WORKER)
+        """Guided decreasing-size chunks (the dynamic queue's feed)."""
+        return guided_partition(items, self.jobs)
 
     def iter_chunks(
         self,
@@ -516,78 +512,21 @@ class ProcessBackend:
         self.close()
 
 
-class WorkStealingBackend(ProcessBackend):
-    """The process pool fed a deterministic fine-grained chunk queue.
-
-    Static partitioning assigns every chunk to a submission slot up
-    front, so one expensive scenario (a dense failure set whose Dijkstra
-    and hose solves dwarf its neighbours') leaves ``jobs - 1`` workers
-    idle while its chunk finishes. This backend instead enqueues many
-    small chunks of *decreasing* size (:func:`guided_partition`) into the
-    pool's shared queue; idle workers pull the next chunk the moment they
-    finish — work stealing in its queue-drained form, with the stealing
-    done by :class:`~concurrent.futures.ProcessPoolExecutor`'s dispatcher
-    rather than per-worker deques.
-
-    Determinism is untouched: the chunk *list* is a pure function of the
-    work list, results are yielded in submission order, and callers merge
-    order-insensitively, so ``jobs=4`` plans are byte-identical to
-    ``jobs=1`` (parity-tested via ``plan_to_json`` equality). Only wall
-    time and the per-process cache-warmth counters may differ.
-    """
-
-    name = "steal"
-
-    def __init__(
-        self,
-        jobs: int,
-        cancel_token: CancelToken | None = None,
-        *,
-        factor: int = 2,
-        min_chunk: int = 1,
-    ) -> None:
-        super().__init__(jobs, cancel_token)
-        self.factor = factor
-        self.min_chunk = min_chunk
-
-    def plan_chunks(self, items: Sequence[T]) -> list[list[T]]:
-        """Guided decreasing-size chunks (the dynamic queue's feed)."""
-        return guided_partition(
-            items, self.jobs, factor=self.factor, min_chunk=self.min_chunk
-        )
-
-
 def get_backend(
-    jobs: int | None = 1,
-    backend: str | None = None,
-    *,
-    cancel_token: CancelToken | None = None,
+    jobs: int | None = 1, *, cancel_token: CancelToken | None = None
 ) -> ExecutionBackend:
     """The execution backend for a ``jobs=`` argument.
 
-    ``backend`` selects among :data:`BACKEND_NAMES`; ``None`` picks the
-    default for the worker count — :class:`SerialBackend` (guaranteed
-    pool-free) when ``jobs`` resolves to 1, the work-stealing pool
-    otherwise. An explicitly requested pool backend still degrades to
-    serial when only one worker is available (e.g. ``jobs=0`` on a
-    single-core machine); ``backend="serial"`` forces serial execution
-    regardless of ``jobs``. ``cancel_token`` arms cooperative
-    cancellation: the backend checks it at every chunk boundary (see
-    :class:`CancelToken`).
+    :class:`SerialBackend` (guaranteed pool-free) when ``jobs`` resolves to
+    one worker (``jobs=0`` on a single-core machine included), the
+    :class:`ProcessBackend` pool otherwise. ``cancel_token`` arms
+    cooperative cancellation: the backend checks it at every chunk
+    boundary (see :class:`CancelToken`).
     """
     n = resolve_jobs(jobs)
-    if backend is None:
-        backend = "serial" if n == 1 else "steal"
-    if backend not in BACKEND_NAMES:
-        raise ReproError(
-            f"unknown backend {backend!r}; available: "
-            f"{', '.join(BACKEND_NAMES)}"
-        )
-    if backend == "serial" or n == 1:
+    if n == 1:
         return SerialBackend(cancel_token)
-    if backend == "process":
-        return ProcessBackend(n, cancel_token)
-    return WorkStealingBackend(n, cancel_token)
+    return ProcessBackend(n, cancel_token)
 
 
 def map_in_chunks(
@@ -638,13 +577,10 @@ class PlanTimings:
     ``hose_cache_hits`` / ``hose_cache_misses``
         Hose max-flow cache traffic during the capacity phase, summed over
         all worker processes.
-    ``hose_cold_solves`` / ``hose_incremental_solves``
-        How the capacity phase's cache misses were actually solved: from
-        scratch, or repaired incrementally from a neighbouring solved
-        instance (see :mod:`repro.core.hose`). Sums to
-        ``hose_cache_misses``.
     ``backend`` / ``jobs``
-        Which execution backend ran the plan, with how many workers.
+        Which execution backend ran the plan (``"serial"``, ``"process"``,
+        or ``"store"`` for a plan loaded from the store), with how many
+        workers.
     """
 
     enumerate_s: float
@@ -655,8 +591,6 @@ class PlanTimings:
     hose_cache_misses: int
     backend: str = "serial"
     jobs: int = 1
-    hose_cold_solves: int = 0
-    hose_incremental_solves: int = 0
 
     @classmethod
     def from_record(
@@ -681,10 +615,6 @@ class PlanTimings:
             hose_cache_misses=int(counters.get("hose.cache_misses", 0)),
             backend=backend,
             jobs=jobs,
-            hose_cold_solves=int(counters.get("hose.cold_solves", 0)),
-            hose_incremental_solves=int(
-                counters.get("hose.incremental_solves", 0)
-            ),
         )
 
     @property
@@ -702,7 +632,6 @@ class PlanTimings:
             f"(paths {self.enumerate_s:.2f} s, capacity {self.capacity_s:.2f} s), "
             f"{self.scenarios_evaluated} scenarios, "
             f"hose cache hit rate {self.hose_cache_hit_rate:.0%} "
-            f"({self.hose_cold_solves} cold / "
-            f"{self.hose_incremental_solves} incremental), "
+            f"({self.hose_cache_misses} misses), "
             f"backend {self.backend} x{self.jobs}"
         )

@@ -40,14 +40,11 @@ class IrisPlanner:
         Check every scenario path against TC1-TC4/OC1 after planning and
         raise :class:`PlanningError` on any violation (default).
     ``jobs``
-        Execution backend for Algorithm 1's scenario evaluation (see
+        Worker count for Algorithm 1's scenario evaluation (see
         :mod:`repro.core.engine`): ``1`` (default) stays serial and never
-        spawns a worker pool, ``N > 1`` uses ``N`` worker processes, ``0``
-        uses every CPU. Plans are bit-identical across backends.
-    ``backend``
-        Backend name from :data:`repro.core.engine.BACKEND_NAMES`
-        (``"serial"``, ``"process"``, ``"steal"``). ``None`` (default)
-        picks serial for ``jobs=1`` and work-stealing otherwise.
+        spawns a worker pool, ``N > 1`` uses a pool of ``N`` worker
+        processes, ``0`` uses every CPU. Plans are bit-identical across
+        worker counts.
     ``cancel_token``
         Optional :class:`repro.core.engine.CancelToken` checked at chunk
         boundaries during Algorithm 1's fan-out, so the planner service
@@ -63,7 +60,6 @@ class IrisPlanner:
     prune_enumeration: bool = True
     validate: bool = True
     jobs: int | None = 1
-    backend: str | None = None
     cancel_token: CancelToken | None = None
     sizing: DuctSizing | None = None
 
@@ -78,7 +74,6 @@ class IrisPlanner:
             self.region,
             prune_enumeration=self.prune_enumeration,
             jobs=self.jobs,
-            backend=self.backend,
             cancel_token=self.cancel_token,
             sizing=self.sizing,
         )
@@ -137,7 +132,6 @@ def _plan_region(
     prune_enumeration: bool = True,
     validate: bool = True,
     jobs: int | None = 1,
-    backend: str | None = None,
     store: "PlanStore | None" = None,
     cancel_token: CancelToken | None = None,
     sizing: DuctSizing | None = None,
@@ -153,17 +147,16 @@ def _plan_region(
         functions of (region, config), so on a hit the cached plan is
         loaded instead of replanned — bit-identical to a fresh one
         (``plan_to_json`` equality, parity-tested) — and on a miss the
-        fresh plan is checkpointed for next time. ``jobs`` and
-        ``backend`` are execution details and deliberately not part of
-        the cache key; a ``sizing`` supplies its own design name and
-        config entries (:class:`~repro.core.topology.DuctSizing`).
+        fresh plan is checkpointed for next time. ``jobs`` is an
+        execution detail and deliberately not part of the cache key; a
+        ``sizing`` supplies its own design name and config entries
+        (:class:`~repro.core.topology.DuctSizing`).
     """
     planner = IrisPlanner(
         region,
         prune_enumeration=prune_enumeration,
         validate=validate,
         jobs=jobs,
-        backend=backend,
         cancel_token=cancel_token,
         sizing=sizing,
     )

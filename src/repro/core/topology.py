@@ -386,7 +386,7 @@ def _capacity_chunk(
     for paths in path_sets:
         crossing = _pairs_by_duct(paths)
         # Sorted so the hose lookup order — and with it the cache's
-        # cold/incremental split — is hash-seed independent. The merged
+        # FIFO eviction — is hash-seed independent. The merged
         # capacities never depended on this order.
         for edge in sorted(crossing):
             oriented = tuple(sorted(crossing[edge]))
@@ -399,10 +399,6 @@ def _capacity_chunk(
     hose_counts: dict[str, float] = {
         "hose.cache_hits": after.hits - before.hits,
         "hose.cache_misses": after.misses - before.misses,
-        "hose.cold_solves": after.cold_solves - before.cold_solves,
-        "hose.incremental_solves": (
-            after.incremental_solves - before.incremental_solves
-        ),
     }
     return edge_capacity, obs.merge_counters(hose_counts, counts)
 
@@ -412,7 +408,6 @@ def plan_topology(
     *,
     prune_enumeration: bool = True,
     jobs: int | None = 1,
-    backend: str | None = None,
     paths_oracle: PathsOracle | None = None,
     cancel_token: CancelToken | None = None,
     sizing: DuctSizing | None = None,
@@ -424,12 +419,10 @@ def plan_topology(
     (§4.3). Both the electrical (EPS) and optical (Iris) realizations start
     from this plan.
 
-    ``jobs`` selects the worker count and ``backend`` the execution
-    backend (see :mod:`repro.core.engine`): ``jobs=1`` (default) runs
-    serially in-process, ``N > 1`` fans scenario evaluation out over
-    ``N`` worker processes — through the work-stealing chunk queue by
-    default, or statically with ``backend="process"`` — and ``0`` uses
-    every CPU. The plan is bit-identical across backends; the attached
+    ``jobs`` selects the worker count (see :mod:`repro.core.engine`):
+    ``jobs=1`` (default) runs serially in-process, ``N > 1`` fans scenario
+    evaluation out over ``N`` worker processes, and ``0`` uses every CPU.
+    The plan is bit-identical across worker counts; the attached
     :class:`~repro.core.engine.PlanTimings` records which backend ran and
     where the time went.
 
@@ -467,9 +460,7 @@ def plan_topology(
             span.incr("prune.ducts_dropped",
                       len(region.fiber_map.ducts) - len(fmap.ducts))
 
-        with get_backend(
-            jobs, backend, cancel_token=cancel_token
-        ) as engine_backend:
+        with get_backend(jobs, cancel_token=cancel_token) as engine_backend:
             with tracer.span("plan.enumerate"):
                 scenario_paths, total_raw = enumerate_scenario_paths(
                     fmap,
@@ -482,8 +473,7 @@ def plan_topology(
 
             # Different scenarios mostly reroute a few pairs, so the
             # oriented pair set of an edge recurs across scenarios: the
-            # per-process hose cache memoizes the max-flow per set (and
-            # repairs misses incrementally from solved neighbours). Chunk
+            # per-process hose cache memoizes the max-flow per set. Chunk
             # results merge by per-duct maximum, so chunking cannot change
             # the outcome.
             with tracer.span("plan.capacity"):

@@ -65,8 +65,8 @@ def get_design(kind: str, **options) -> Design:
 
     ``options`` are forwarded to the designer's constructor (e.g.
     ``hubs=`` for ``"centralized"``, ``zone_count=`` for
-    ``"semidistributed"``, ``jobs=``, ``backend=``, and ``store=`` for
-    the planner-backed kinds).
+    ``"semidistributed"``, ``jobs=`` and ``store=`` for the
+    planner-backed kinds).
     """
     try:
         factory = _REGISTRY[kind]
@@ -101,7 +101,6 @@ class IrisDesign:
     """
 
     jobs: int | None = 1
-    backend: str | None = None
     store: "PlanStore | None" = None
 
     name = "iris"
@@ -109,9 +108,7 @@ class IrisDesign:
     def plan(self, region: RegionSpec) -> Inventory:
         from repro.core.planner import _plan_region
 
-        return _plan_region(
-            region, jobs=self.jobs, backend=self.backend, store=self.store
-        ).inventory()
+        return _plan_region(region, jobs=self.jobs, store=self.store).inventory()
 
 
 @register_design("eps")
@@ -126,7 +123,6 @@ class EPSDesign:
     """
 
     jobs: int | None = 1
-    backend: str | None = None
     store: "PlanStore | None" = None
 
     name = "eps"
@@ -136,10 +132,7 @@ class EPSDesign:
         from repro.designs.eps import eps_inventory
 
         if self.store is None:
-            return eps_inventory(
-                region,
-                plan_topology(region, jobs=self.jobs, backend=self.backend),
-            )
+            return eps_inventory(region, plan_topology(region, jobs=self.jobs))
 
         from repro.serialize import topology_from_dict, topology_to_dict
         from repro.store import plan_key
@@ -151,7 +144,7 @@ class EPSDesign:
                 return eps_inventory(region, topology_from_dict(cached))
             except ReproError:
                 pass  # stale payload: fall through and replan
-        topology = plan_topology(region, jobs=self.jobs, backend=self.backend)
+        topology = plan_topology(region, jobs=self.jobs)
         self.store.put(key, topology_to_dict(topology), kind="topology")
         return eps_inventory(region, topology)
 
@@ -163,7 +156,6 @@ class HybridDesign:
 
     jobs: int | None = 1
     max_combine: int = 4
-    backend: str | None = None
     store: "PlanStore | None" = None
 
     name = "hybrid"
@@ -172,9 +164,7 @@ class HybridDesign:
         from repro.core.planner import _plan_region
         from repro.designs.hybrid import hybridize
 
-        plan = _plan_region(
-            region, jobs=self.jobs, backend=self.backend, store=self.store
-        )
+        plan = _plan_region(region, jobs=self.jobs, store=self.store)
         return hybridize(plan, max_combine=self.max_combine).inventory()
 
 

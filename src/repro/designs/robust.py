@@ -191,7 +191,6 @@ def plan_robust(
     prune_enumeration: bool = True,
     validate: bool = True,
     jobs: int | None = 1,
-    backend: str | None = None,
     store: "PlanStore | None" = None,
 ) -> IrisPlan:
     """Plan ``region`` robustly against a TM ensemble, end to end.
@@ -217,7 +216,6 @@ def plan_robust(
         prune_enumeration=prune_enumeration,
         validate=validate,
         jobs=jobs,
-        backend=backend,
         store=store,
         sizing=EnsembleSizing.for_ensemble(ensemble, region.dc_fibers),
     )
@@ -228,12 +226,11 @@ def plan_robust(
 class RobustDesign:
     """The multi-TM robust design, registered as ``"robust"``.
 
-    ``traffic`` configures the ensemble recipe; ``jobs``/``backend``/
-    ``store`` mirror the other planner-backed designs.
+    ``traffic`` configures the ensemble recipe; ``jobs``/``store``
+    mirror the other planner-backed designs.
     """
 
     jobs: int | None = 1
-    backend: str | None = None
     store: "PlanStore | None" = None
     traffic: TrafficEnsembleSpec = TrafficEnsembleSpec()
 
@@ -244,6 +241,5 @@ class RobustDesign:
             region,
             traffic=self.traffic,
             jobs=self.jobs,
-            backend=self.backend,
             store=self.store,
         ).inventory()

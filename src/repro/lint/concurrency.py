@@ -239,7 +239,7 @@ class FileConcurrency:
 _SOCKET_ACQ = frozenset({"socket", "create_connection"})
 
 #: Backend classes whose instances own process/thread pools.
-_POOL_CLASSES = frozenset({"ProcessBackend", "WorkStealingBackend"})
+_POOL_CLASSES = frozenset({"ProcessBackend"})
 
 
 def _acquisition_kind_syntactic(call: ast.Call) -> str | None:

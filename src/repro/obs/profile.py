@@ -44,7 +44,6 @@ def profile_plan(
     region: "RegionSpec",
     *,
     jobs: int | None = 1,
-    backend: str | None = None,
     prune_enumeration: bool = True,
     validate: bool = True,
 ) -> ProfileResult:
@@ -63,7 +62,6 @@ def profile_plan(
             prune_enumeration=prune_enumeration,
             validate=validate,
             jobs=jobs,
-            backend=backend,
         )
     trace = tracer.record()
     return ProfileResult(plan=plan, trace=trace, phases=aggregate(trace))

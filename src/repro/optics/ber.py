@@ -9,8 +9,7 @@ chain [30]: OSNR (0.1 nm reference) -> per-symbol SNR -> Gray-coded square
 from __future__ import annotations
 
 import math
-
-from scipy.special import erfc, erfcinv
+from statistics import NormalDist
 
 from repro.units import FEC_BER_THRESHOLD, POST_FEC_BER, db_to_linear, linear_to_db
 
@@ -45,7 +44,7 @@ def ber_16qam(snr_linear: float) -> float:
     """
     if snr_linear < 0:
         raise ValueError("SNR must be non-negative")
-    return 0.375 * float(erfc(math.sqrt(snr_linear / 10.0)))
+    return 0.375 * math.erfc(math.sqrt(snr_linear / 10.0))
 
 
 def prefec_ber_from_osnr_db(osnr_db: float, baud_gbaud: float = 59.84) -> float:
@@ -64,12 +63,21 @@ def post_fec_ber(prefec: float, threshold: float = FEC_BER_THRESHOLD) -> float:
     return POST_FEC_BER if prefec <= threshold else prefec
 
 
+def _erfcinv(y: float) -> float:
+    """Inverse of :func:`math.erfc` on (0, 2), via the normal quantile.
+
+    ``erfc(x) = 2 * (1 - Phi(x * sqrt(2)))``, so ``erfcinv(y) =
+    -Phi^-1(y / 2) / sqrt(2)``.
+    """
+    return -NormalDist().inv_cdf(y / 2.0) / math.sqrt(2.0)
+
+
 def required_osnr_db(
     ber_target: float = FEC_BER_THRESHOLD, baud_gbaud: float = 59.84
 ) -> float:
     """Minimum OSNR for a DP-16QAM channel to hit ``ber_target`` pre-FEC."""
     if not (0.0 < ber_target < 0.375):
         raise ValueError("BER target must be in (0, 0.375)")
-    snr = 10.0 * float(erfcinv(ber_target / 0.375)) ** 2
+    snr = 10.0 * _erfcinv(ber_target / 0.375) ** 2
     osnr_linear = snr * DP_POLARIZATIONS * baud_gbaud / (2.0 * OSNR_REFERENCE_GHZ)
     return linear_to_db(osnr_linear)

@@ -190,10 +190,6 @@ def timings_to_dict(
         out["jobs"] = timings.jobs
         out["hose_cache_hits"] = timings.hose_cache_hits
         out["hose_cache_misses"] = timings.hose_cache_misses
-        # Cold/incremental is a property of per-process cache warmth, so
-        # it is runtime-variant by the same argument as the hit/miss split.
-        out["hose_cold_solves"] = timings.hose_cold_solves
-        out["hose_incremental_solves"] = timings.hose_incremental_solves
         out["enumerate_s"] = timings.enumerate_s
         out["capacity_s"] = timings.capacity_s
         out["total_s"] = timings.total_s

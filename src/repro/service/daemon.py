@@ -85,9 +85,9 @@ class ServiceConfig:
 
     ``port=0`` binds an ephemeral port (read it back from ``.address``).
     ``queue_size`` bounds admission — submissions beyond it are rejected,
-    never buffered without limit. ``jobs``/``backend`` configure the
-    engine backend *inside* each job (serial by default; the service's
-    own concurrency comes from ``workers`` threads). ``job_timeout_s``
+    never buffered without limit. ``jobs`` sets the engine's worker
+    count *inside* each job (serial by default; the service's own
+    concurrency comes from ``workers`` threads). ``job_timeout_s``
     arms a per-job :class:`~repro.core.engine.CancelToken` deadline.
     ``keep_results`` bounds both the finished-job table and the
     in-memory plan cache that seeds delta jobs.
@@ -98,7 +98,6 @@ class ServiceConfig:
     workers: int = 2
     queue_size: int = 16
     jobs: int | None = 1
-    backend: str | None = None
     job_timeout_s: float | None = None
     keep_results: int = 64
     prune_enumeration: bool = True
@@ -596,7 +595,6 @@ class PlannerService:
                     base_plan,
                     job.delta,
                     jobs=config.jobs,
-                    backend=config.backend,
                     prune_enumeration=config.prune_enumeration,
                     validate=config.validate,
                     cancel_token=job.token,
@@ -608,7 +606,6 @@ class PlannerService:
             prune_enumeration=config.prune_enumeration,
             validate=config.validate,
             jobs=config.jobs,
-            backend=config.backend,
             cancel_token=job.token,
         ).plan()
         return plan, "cold", None

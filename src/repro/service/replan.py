@@ -61,9 +61,9 @@ settles, far cheaper than the full all-pairs evaluation it saves.
 
 Everything the oracle declines is recomputed cold by the normal backend
 fan-out; the capacity phase then runs unmodified over the (identical)
-path sets, served by the per-process hose cache — which the old plan's
-run left warm for exactly these instances, and whose residual states
-repair the few genuinely new flows incrementally (the PR 6 machinery).
+path sets, served by the per-process hose cache, which the old plan's
+run left warm for exactly these instances; only the genuinely new flow
+graphs are solved.
 """
 
 from __future__ import annotations
@@ -295,7 +295,6 @@ def apply_delta(
     delta: RegionDelta,
     *,
     jobs: int | None = 1,
-    backend: str | None = None,
     prune_enumeration: bool = True,
     validate: bool = True,
     cancel_token: CancelToken | None = None,
@@ -309,9 +308,9 @@ def apply_delta(
     to a cold replan of that mutated region. ``price_changed`` deltas
     return ``plan`` itself — prices are not plan inputs.
 
-    ``prune_enumeration``/``validate``/``jobs``/``backend`` mirror
+    ``prune_enumeration``/``validate``/``jobs`` mirror
     :class:`~repro.core.planner.IrisPlanner`; parity holds whatever the
-    backend, since reuse happens above the chunk fan-out.
+    worker count, since reuse happens above the chunk fan-out.
 
     ``verify=True`` additionally runs the cold replan and raises
     :class:`~repro.exceptions.PlanningError` on any byte difference —
@@ -338,7 +337,6 @@ def apply_delta(
             new_region,
             prune_enumeration=prune_enumeration,
             jobs=jobs,
-            backend=backend,
             paths_oracle=oracle,
             cancel_token=cancel_token,
         )
@@ -368,7 +366,6 @@ def apply_delta(
                 prune_enumeration=prune_enumeration,
                 validate=validate,
                 jobs=jobs,
-                backend=backend,
                 cancel_token=cancel_token,
             ).plan_from_topology(topology)
         if oracle is not None:
@@ -389,7 +386,6 @@ def apply_delta(
             prune_enumeration=prune_enumeration,
             validate=validate,
             jobs=jobs,
-            backend=backend,
         ).plan()
         patched_json = plan_to_json(patched, full=True)
         cold_json = plan_to_json(cold, full=True)

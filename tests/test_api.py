@@ -6,7 +6,6 @@ import pytest
 
 from repro import api
 from repro.api import PlannerConfig, plan, simulate, sweep
-from repro.core.hose import hose_cache_stats
 from repro.core.plan import IrisPlan
 from repro.cost.estimator import Inventory
 from repro.region.catalog import make_region
@@ -27,15 +26,18 @@ class TestPlannerConfig:
             config.jobs = 2
 
     def test_defaults_match_planner_defaults(self):
+        import dataclasses
+
         config = PlannerConfig()
         assert config.jobs == 1
-        assert config.backend is None
         assert config.store is None
         assert config.prune_enumeration is True
         assert config.validate is True
         assert config.trace is False
-        assert config.hose_cache_maxsize is None
-        assert config.hose_state_maxsize is None
+        assert config.traffic is None
+        assert [f.name for f in dataclasses.fields(PlannerConfig)] == [
+            "jobs", "store", "prune_enumeration", "validate", "trace", "traffic",
+        ]
 
 
 class TestPlan:
@@ -69,17 +71,6 @@ class TestPlan:
         assert record is not None
         assert record.name == "repro.api.plan"
         assert record.total("hose.lookups") > 0
-
-    def test_hose_cache_bounds_applied(self, small_region):
-        from repro.core.hose import clear_hose_cache
-
-        plan(
-            small_region,
-            config=PlannerConfig(hose_cache_maxsize=50_000, hose_state_maxsize=9),
-        )
-        stats = hose_cache_stats()
-        assert (stats.maxsize, stats.state_maxsize) == (50_000, 9)
-        clear_hose_cache()  # restore the env/default bounds
 
 
 class TestSweep:
@@ -123,4 +114,4 @@ class TestTopLevelExports:
         assert repro.sweep is sweep
         assert repro.simulate is simulate
         assert repro.PlannerConfig is PlannerConfig
-        assert repro.__version__ == "1.10.0"
+        assert repro.__version__ == "1.11.0"

@@ -1,5 +1,10 @@
 """OSNR -> BER translation for DP-16QAM (§6.2)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,3 +86,52 @@ class TestRequiredOsnr:
             required_osnr_db(0.4)
         with pytest.raises(ValueError):
             required_osnr_db(0.0)
+
+
+class TestStdlibSpecialFunctions:
+    """``math.erfc`` and the normal quantile reproduce ``scipy.special``'s
+    ``erfc``/``erfcinv``: the literals below were computed with scipy
+    1.17.1 through the same two functions."""
+
+    @pytest.mark.parametrize(
+        "snr,expected",
+        [
+            (0.5, 0.28193611276719344),
+            (10.0, 0.058987202643856936),
+            (40.0, 0.0017541506178927247),
+            (150.0, 1.620173646685308e-08),
+        ],
+    )
+    def test_ber_16qam_matches_scipy(self, snr, expected):
+        assert ber_16qam(snr) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "target,expected",
+        [
+            (2e-2, 19.51161167384881),
+            (1e-3, 23.343816803619166),
+            (1e-6, 27.22314267586531),
+            (0.3, 1.8648346172802064),
+        ],
+    )
+    def test_required_osnr_matches_scipy(self, target, expected):
+        assert required_osnr_db(target) == pytest.approx(expected, rel=1e-12)
+
+
+def test_planner_loads_neither_numpy_nor_scipy():
+    """No runtime path imports numpy or scipy: not the facade, the daemon,
+    the testbed, nor a full golden-region plan."""
+    script = (
+        "import sys\n"
+        "import repro.api, repro.service.daemon, repro.testbed\n"
+        "from repro.region.catalog import make_region\n"
+        "repro.api.plan(make_region(0, 5, dc_fibers=8).spec)\n"
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"

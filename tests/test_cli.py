@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -40,12 +42,15 @@ class TestPlanCommand:
         assert main(["plan", "--dcs", "5", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "constraint violations: 0" in out
-        assert "backend steal" in out
+        assert "backend process" in out
 
-    def test_plan_backend_flag_selects_static_pool(self, capsys):
-        args = ["plan", "--dcs", "4", "--jobs", "2", "--backend", "process"]
-        assert main(args) == 0
-        assert "backend process" in capsys.readouterr().out
+    def test_jobs_alone_picks_the_backend(self, capsys):
+        """There is no ``--backend`` flag: ``--jobs`` picks serial or pool."""
+        for command in ("plan", "sweep", "analyze", "serve"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--backend", "process"])
+            assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_plan_serial_reports_timings(self, capsys):
         assert main(["plan", "--dcs", "4", "--tolerance", "1"]) == 0

@@ -116,3 +116,26 @@ class TestPlacement:
 
         for path in updated.values():
             assert violations(path.profile()) == []
+
+
+class TestScoringHasNoSideEffects:
+    def test_no_hose_call_sizes_an_empty_pair_set(self, monkeypatch):
+        """Scoring an amplifier site reads the per-site demand without
+        inserting an empty pair list for every scenario it scores, so no
+        later sizing sees one either."""
+        from repro.core import cutthrough
+        from repro.core.planner import plan_region
+        from repro.region.catalog import make_region
+
+        sizes = []
+        real = cutthrough.hose_capacity
+
+        def recording(pairs, dc_fibers):
+            pairs = list(pairs)
+            sizes.append(len(pairs))
+            return real(pairs, dc_fibers)
+
+        monkeypatch.setattr(cutthrough, "hose_capacity", recording)
+        plan_region(make_region(map_index=0, n_dcs=5, dc_fibers=8).spec)
+        assert sizes
+        assert sizes.count(0) == 0

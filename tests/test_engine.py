@@ -6,12 +6,10 @@ from repro import api
 from repro.api import PlannerConfig
 from repro.core import engine
 from repro.core.engine import (
-    BACKEND_NAMES,
     ExecutionBackend,
     PlanTimings,
     ProcessBackend,
     SerialBackend,
-    WorkStealingBackend,
     get_backend,
     guided_partition,
     map_in_chunks,
@@ -96,29 +94,18 @@ class TestBackends:
         assert isinstance(get_backend(1), SerialBackend)
         assert isinstance(get_backend(None), SerialBackend)
 
-    def test_get_backend_parallel_defaults_to_steal(self):
-        backend = get_backend(2)
-        assert isinstance(backend, WorkStealingBackend)
-        assert backend.name == "steal"
-        assert backend.jobs == 2
-        backend.close()
-
-    def test_get_backend_by_name(self):
-        with get_backend(2, "process") as backend:
+    def test_get_backend_parallel_is_process_pool(self):
+        with get_backend(2) as backend:
             assert type(backend) is ProcessBackend
             assert backend.name == "process"
-        assert isinstance(get_backend(1, "serial"), SerialBackend)
-        # jobs=1 always collapses to serial regardless of the name.
-        assert isinstance(get_backend(1, "steal"), SerialBackend)
-
-    def test_get_backend_unknown_name(self):
-        with pytest.raises(ReproError):
-            get_backend(2, "gpu")
+            assert backend.jobs == 2
+            # The pool's only chunking is the guided queue.
+            items = list(range(37))
+            assert backend.plan_chunks(items) == guided_partition(items, 2)
 
     def test_backends_satisfy_protocol(self):
-        assert isinstance(SerialBackend(), ExecutionBackend)
-        for name in BACKEND_NAMES:
-            backend = get_backend(2, name)
+        for jobs in (1, 2):
+            backend = get_backend(jobs)
             assert isinstance(backend, ExecutionBackend)
             backend.close()
 
@@ -129,15 +116,20 @@ class TestBackends:
 
     def test_process_map_matches_serial(self):
         items = list(range(25))
-        with get_backend(2, "process") as backend:
+        with get_backend(2) as backend:
             out = map_in_chunks(backend, _double_chunk, 2, items)
         assert out == [2 * i for i in items]
 
     def test_steal_map_matches_serial(self):
-        items = list(range(25))
-        with get_backend(2, "steal") as backend:
-            out = map_in_chunks(backend, _double_chunk, 2, items)
-        assert out == [2 * i for i in items]
+        # More guided chunks than workers, so idle workers pull the next
+        # chunk off the shared queue; results still align with the items
+        # and equal the serial backend's.
+        items = list(range(101))
+        with get_backend(2) as backend:
+            assert len(backend.plan_chunks(items)) > backend.jobs
+            out = map_in_chunks(backend, _double_chunk, 3, items)
+        with get_backend(1) as serial:
+            assert out == map_in_chunks(serial, _double_chunk, 3, items)
 
     def test_process_backend_needs_two_workers(self):
         with pytest.raises(ReproError):
@@ -178,7 +170,7 @@ class TestSerialParallelParity:
         assert serial.scenarios == parallel.scenarios
         # Dataclass equality ignores the (instrumentation-only) timings.
         assert serial == parallel
-        assert parallel.timings.backend == "steal"
+        assert parallel.timings.backend == "process"
         assert parallel.timings.jobs == 2
 
     def test_full_plan_identical(self):
@@ -197,22 +189,15 @@ class TestSerialParallelParity:
         assert serial == parallel
 
     def test_plan_to_json_identical_under_work_stealing(self):
-        """ISSUE 6 acceptance: jobs=1 vs jobs=4 byte-identical plans
-        under the work-stealing backend."""
+        """jobs=1 vs jobs=4 byte-identical plans while four workers
+        drain the pool's guided chunk queue."""
         from repro.core.planner import _plan_region
         from repro.serialize import plan_to_json
 
         instance = make_region(map_index=0, n_dcs=5, dc_fibers=8)
         serial = _plan_region(instance.spec, jobs=1)
-        parallel = _plan_region(instance.spec, jobs=4, backend="steal")
+        parallel = _plan_region(instance.spec, jobs=4)
         assert plan_to_json(serial) == plan_to_json(parallel)
-
-    def test_static_process_backend_still_selectable(self, toy_region):
-        static = plan_topology(toy_region, jobs=2, backend="process")
-        stealing = plan_topology(toy_region, jobs=2, backend="steal")
-        assert static == stealing
-        assert static.timings.backend == "process"
-        assert stealing.timings.backend == "steal"
 
 
 class TestWorkerErrorPropagation:

@@ -1,13 +1,13 @@
-"""Hose-model max-flow capacity (§4.1, [29]) and its incremental solver."""
+"""Hose-model max-flow capacity (§4.1, [29]) and its per-process memo."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core import hose
 from repro.core.hose import (
     _hose_max_flow,
     clear_hose_cache,
-    configure_hose_cache,
     hose_cache_stats,
     hose_capacity,
     naive_sum_capacity,
@@ -141,13 +141,13 @@ class TestHoseCapacity:
         assert value <= min(egress, ingress)
 
 
-class TestIncrementalParity:
-    """ISSUE 6: repaired residual networks must equal from-scratch solves.
+class TestMemoParity:
+    """Memoized lookups must equal from-scratch solves.
 
-    :func:`hose_capacity` transparently repairs cache misses from
-    neighbouring solved instances; ``_hose_max_flow`` is the always-cold
-    reference solver. Equality on randomized mutation sequences is the
-    interchangeability contract the cache relies on.
+    :func:`hose_capacity` serves repeated instances from the per-process
+    memo; ``_hose_max_flow`` is the uncached reference solver. Equality
+    on randomized, failure-scenario-shaped mutation sequences checks that
+    the memo key identifies an instance completely.
     """
 
     @given(
@@ -155,7 +155,7 @@ class TestIncrementalParity:
         n_scenarios=st.integers(min_value=2, max_value=12),
     )
     @settings(max_examples=60, deadline=None)
-    def test_incremental_equals_cold(self, seed, n_scenarios):
+    def test_memo_equals_cold(self, seed, n_scenarios):
         rng = random.Random(seed)
         names = list("ABCDEFGH")
         caps = {n: rng.randint(1, 12) for n in names}
@@ -175,14 +175,12 @@ class TestIncrementalParity:
             assert hose_capacity(ordered, caps) == _hose_max_flow(
                 ordered, caps
             )
-        stats = hose_cache_stats()
-        assert stats.cold_solves + stats.incremental_solves == stats.misses
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
     def test_changed_capacities_never_reuse_stale_caps(self, seed):
-        """A repair source must agree on every shared DC's capacity, so
-        re-solving the same pair sets under different caps stays exact."""
+        """The DC capacities are part of the memo key, so re-solving the
+        same pair sets under different caps stays exact."""
         rng = random.Random(seed)
         names = list("ABCDE")
         all_pairs = [(a, b) for a in names for b in names if a != b]
@@ -194,78 +192,37 @@ class TestIncrementalParity:
             pairs = sorted(rng.sample(base, rng.randint(1, len(base))))
             assert hose_capacity(pairs, caps) == _hose_max_flow(pairs, caps)
 
-    def test_mutation_sequence_uses_incremental_solves(self):
-        """A chain of near-identical instances must mostly repair."""
-        names = list("ABCDEF")
-        caps = {n: 8 for n in names}
-        base = [(a, b) for a in names for b in names if a != b]
-
-        clear_hose_cache()
-        hose_capacity(base, caps)
-        for drop in base:
-            pairs = [p for p in base if p != drop]
-            assert hose_capacity(pairs, caps) == _hose_max_flow(pairs, caps)
-        stats = hose_cache_stats()
-        assert stats.cold_solves == 1  # only the base instance
-        assert stats.incremental_solves == len(base)
-        assert stats.incremental_rate > 0.9
-
-    def test_state_maxsize_zero_disables_incremental(self):
-        """``state_maxsize=0`` is the parity hook: every miss goes cold."""
-        names = list("ABCD")
-        caps = {n: 5 for n in names}
-        base = [(a, b) for a in names for b in names if a != b]
-
-        configure_hose_cache(state_maxsize=0)
-        try:
-            hose_capacity(base, caps)
-            for drop in base[:4]:
-                hose_capacity([p for p in base if p != drop], caps)
-            stats = hose_cache_stats()
-            assert stats.incremental_solves == 0
-            assert stats.cold_solves == stats.misses == 5
-            assert stats.states == 0
-        finally:
-            clear_hose_cache()  # restore the env/default bounds
-
 
 class TestCacheConfiguration:
     def test_stats_expose_solve_split_and_bounds(self):
         clear_hose_cache()
+        caps = {n: 3 for n in "ABC"}
+        hose_capacity([("A", "B"), ("A", "C")], caps)
+        hose_capacity([("A", "B"), ("A", "C")], caps)
+        hose_capacity([("B", "C")], caps)
         stats = hose_cache_stats()
-        assert stats.cold_solves == stats.incremental_solves == 0
-        assert stats.maxsize > 0 and stats.state_maxsize > 0
-        assert stats.incremental_rate == 0.0
+        # Every miss is solved from scratch; nothing is repaired.
+        assert stats.cold_solves == stats.misses == 2
+        assert stats.incremental_solves == 0
+        assert stats.maxsize == hose.CACHE_MAXSIZE == 200_000
 
-    def test_configure_overrides_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HOSE_CACHE_MAXSIZE", "17")
-        monkeypatch.setenv("REPRO_HOSE_STATE_MAXSIZE", "3")
-        clear_hose_cache()  # fresh cache reads the env fallbacks
-        stats = hose_cache_stats()
-        assert (stats.maxsize, stats.state_maxsize) == (17, 3)
-        # Explicit configuration wins over the environment.
-        configure_hose_cache(maxsize=99, state_maxsize=7)
-        stats = hose_cache_stats()
-        assert (stats.maxsize, stats.state_maxsize) == (99, 7)
-        monkeypatch.delenv("REPRO_HOSE_CACHE_MAXSIZE")
-        monkeypatch.delenv("REPRO_HOSE_STATE_MAXSIZE")
+    def test_memo_is_fifo_bounded(self, monkeypatch):
+        monkeypatch.setattr(hose, "CACHE_MAXSIZE", 4)
         clear_hose_cache()
+        caps = {n: 3 for n in "ABCDE"}
+        names = sorted(caps)
+        singles = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+        for pair in singles:
+            hose_capacity([pair], caps)
         stats = hose_cache_stats()
-        assert stats.maxsize > 99 and stats.state_maxsize > 7
-
-    def test_state_store_is_bounded(self):
-        configure_hose_cache(state_maxsize=4)
-        try:
-            caps = {n: 3 for n in "ABCDE"}
-            names = sorted(caps)
-            for i, a in enumerate(names):
-                for b in names[i + 1 :]:
-                    hose_capacity([(a, b)], caps)
-            stats = hose_cache_stats()
-            assert stats.states <= 4
-            assert stats.misses == 10  # the value memo is unaffected
-        finally:
-            clear_hose_cache()
+        assert (stats.size, stats.maxsize, stats.misses) == (4, 4, 10)
+        # The oldest entries went first: the newest four still hit.
+        for pair in singles[-4:]:
+            hose_capacity([pair], caps)
+        assert hose_cache_stats().hits == 4
+        hose_capacity([singles[0]], caps)
+        assert hose_cache_stats().misses == 11
+        clear_hose_cache()
 
 
 class TestSolverAgainstNetworkx:

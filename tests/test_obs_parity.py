@@ -79,7 +79,7 @@ class TestJobsParity:
             == t2.hose_cache_hits + t2.hose_cache_misses
         )
         assert (t1.backend, t1.jobs) == ("serial", 1)
-        assert (t2.backend, t2.jobs) == ("steal", 2)
+        assert (t2.backend, t2.jobs) == ("process", 2)
 
     def test_worker_shards_present_in_pool_trace(self, traces):
         _, rec1, _, rec2 = traces
