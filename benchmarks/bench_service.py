@@ -21,8 +21,11 @@ flight rate.
 Run directly for the CI smoke pass or to append a ``kind="service"``
 trajectory row::
 
-    PYTHONPATH=src python benchmarks/bench_service.py --smoke
-    PYTHONPATH=src python benchmarks/bench_service.py --json BENCH_planner.json
+    PYTHONPATH=src python -m benchmarks.bench_service --smoke
+    PYTHONPATH=src python -m benchmarks.bench_service --json BENCH_planner.json
+
+(as a module from the repo root: the bypass delta is the benchmark
+suite's, :func:`benchmarks.suite.workloads.bypass_delta`).
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ import threading
 import time
 from pathlib import Path
 
-import networkx as nx
-
+from benchmarks.suite.workloads import bypass_delta
 from repro.core.hose import clear_hose_cache
 from repro.core.planner import _plan_region
 from repro.region.catalog import make_region
@@ -58,32 +60,8 @@ REPEATS = 3
 #: Stampede width for the coalesce-rate section.
 STAMPEDE_CLIENTS = 8
 
-
-def _bypass_delta(plan, factor: float = 1.05) -> RegionDelta:
-    """A duct between non-adjacent nodes, priced ``factor``x its worst-case
-    alternative route over every enumerated scenario — every strict bypass
-    check passes, so the patched topology is provably unchanged."""
-    fmap = plan.region.fiber_map
-    scenarios = list(plan.topology.scenario_paths)
-    existing = set(fmap.ducts)
-    for u in fmap.nodes:
-        for v in fmap.nodes:
-            if v <= u or (min(u, v), max(u, v)) in existing:
-                continue
-            worst = 0.0
-            for scenario in scenarios:
-                graph = fmap.subgraph_without(scenario)
-                try:
-                    dist = nx.dijkstra_path_length(
-                        graph, u, v, weight="length_km"
-                    )
-                except (nx.NetworkXNoPath, nx.NodeNotFound):
-                    worst = None
-                    break
-                worst = max(worst, dist)
-            if worst is not None and worst > 0:
-                return RegionDelta.duct_added(u, v, length_km=factor * worst)
-    raise AssertionError("no bypassable node pair in the region")
+#: The bypass duct's length over its worst-case alternative route.
+BYPASS_FACTOR = 1.05
 
 
 def _best_of(fn, repeats: int = REPEATS):
@@ -176,7 +154,7 @@ def _measure_golden():
     clear_hose_cache()
     base_plan = _plan_region(instance.spec)
 
-    add = _bypass_delta(base_plan)
+    add = bypass_delta(base_plan, BYPASS_FACTOR)
     add_cold_s, add_patched_s, widened, add_stats = _measure_direction(
         base_plan, add
     )
@@ -277,7 +255,7 @@ def _smoke() -> int:
     instance = make_region(map_index=0, n_dcs=4, dc_fibers=6)
     clear_hose_cache()
     base_plan = _plan_region(instance.spec)
-    delta = _bypass_delta(base_plan)
+    delta = bypass_delta(base_plan, BYPASS_FACTOR)
     cold_s, patched_s, _plan, stats = _measure_direction(base_plan, delta)
     print(
         f"service smoke: cold {cold_s:.2f} s -> patched {patched_s:.3f} s "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro import obs
 from repro.core.failures import Scenario
@@ -86,17 +86,20 @@ class _Bypass:
     reduction: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PathRecord:
     """What the greedy needs of one distinct effective path, computed once.
 
-    ``violates`` is the path's status; the candidate fields stay empty for
-    a compliant path. ``bypasses`` holds the candidates that resolve the
-    path or shrink its excess dB, ``amp_sites`` the sites where one
-    amplifier resolves it, and ``amp_steps`` the ``(site, reduction)`` of
-    the amplifiers that shrink its excess.
+    ``path`` is the first object seen with this value. ``violates`` is the
+    path's status; the candidate fields stay empty for a compliant path.
+    ``bypasses`` holds the candidates that resolve the path or shrink its
+    excess dB, ``amp_sites`` the sites where one amplifier resolves it, and
+    ``amp_steps`` the ``(site, reduction)`` of the amplifiers that shrink
+    its excess. Records compare by identity: one record stands for every
+    key whose effective path equals ``path``.
     """
 
+    path: EffectivePath
     violates: bool
     bypasses: tuple[_Bypass, ...] = ()
     amp_sites: tuple[str, ...] = ()
@@ -107,7 +110,7 @@ class _PathRecord:
         cls, path: EffectivePath, sla_fiber_km: float, allow_amplifiers: bool
     ) -> "_PathRecord":
         if not _violates(path, sla_fiber_km):
-            return cls(violates=False)
+            return cls(path, violates=False)
         before = _excess_db(path)
         bypasses = []
         for start, end in _candidate_bypasses(path):
@@ -132,28 +135,9 @@ class _PathRecord:
                 reduction = before - _excess_db(path.with_amp(site))
                 if reduction > 1e-9:
                     amp_steps.append((site, reduction))
-        return cls(True, tuple(bypasses), tuple(amp_sites), tuple(amp_steps))
-
-
-def _recheck(
-    violating: list[tuple[_Key, _PathRecord]],
-    touched: Mapping[_Key, object],
-    current: Mapping[_Key, EffectivePath],
-    record: Callable[[EffectivePath], _PathRecord],
-) -> list[tuple[_Key, _PathRecord]]:
-    """``violating`` after an action that rewrote the ``touched`` keys.
-
-    Only violating keys are ever rewritten, so no other key can start
-    violating; the order stays ``current``'s.
-    """
-    out = []
-    for key, rec in violating:
-        if key in touched:
-            rec = record(current[key])
-            if not rec.violates:
-                continue
-        out.append((key, rec))
-    return out
+        return cls(
+            path, True, tuple(bypasses), tuple(amp_sites), tuple(amp_steps)
+        )
 
 
 def place_cut_throughs(
@@ -178,11 +162,27 @@ def place_cut_throughs(
     :class:`PlanningError` if some violation cannot be fixed (cannot happen
     on maps whose ducts respect TC1, per the Appendix A argument).
 
-    Each distinct path's status and candidates are computed once per call
-    (:class:`_PathRecord`). An action rewrites only violating paths, so
-    after it only the keys it touched are checked again; the candidate
-    tables, their order and every hose lookup are as a full recheck of
-    every path in every round would make them.
+    The stage pays per distinct effective path and per distinct pair set,
+    not per (scenario, pair) key:
+
+    * each distinct path's status and candidates are computed once per
+      call (:class:`_PathRecord`), found by object identity before value;
+    * keys with equal paths share a record and so its candidates, so each
+      round's cut and amplifier tables list records, each with the keys it
+      stands for, and only the winning action maps its keys to new paths;
+    * a candidate's cost depends only on the keys it resolves (and, for an
+      amplifier site, on the site's served pairs and installed count). An
+      action rewrites only the keys it touched, so a cached cost is
+      recomputed only when a touched key was or is among the candidate's
+      keys, or when amplifiers were placed at its site;
+    * each distinct pair set is sized by :func:`hose_capacity` once per
+      call.
+
+    Each round takes the best ``(count / cost, count)``, compared strictly,
+    over chains and then sites in sorted order. A round where nothing fully
+    resolves a path takes the best partial step instead; its excess-dB
+    gains are float sums over the keys in violating order, which fixes
+    their rounding.
     """
     prices = prices or PriceBook.default()
     sla = region.constraints.sla_fiber_km
@@ -197,12 +197,50 @@ def place_cut_throughs(
         served[site][scenario].append(pair)
     link_users: dict[_Chain, set[_Key]] = {}
     records: dict[EffectivePath, _PathRecord] = {}
+    # id(path) -> (path, record); holding the path keeps its id unique.
+    seen: dict[int, tuple[EffectivePath, _PathRecord]] = {}
+    sized: dict[frozenset[Pair], int] = {}
 
     def record(path: EffectivePath) -> _PathRecord:
+        hit = seen.get(id(path))
+        if hit is not None:
+            return hit[1]
         rec = records.get(path)
         if rec is None:
             rec = records[path] = _PathRecord.of(path, sla, allow_amplifiers)
+        seen[id(path)] = (path, rec)
         return rec
+
+    def size(pairs: Iterable[Pair]) -> int:
+        key = frozenset(pairs)
+        value = sized.get(key)
+        if value is None:
+            value = sized[key] = hose_capacity(key, region.dc_fibers)
+        return value
+
+    def peak(keys: Iterable[_Key]) -> int:
+        """The largest hose load of the keys' pairs in any one scenario."""
+        by_scenario: dict[Scenario, list[Pair]] = defaultdict(list)
+        for scenario, pair in keys:
+            by_scenario[scenario].append(pair)
+        return max(size(pairs) for pairs in by_scenario.values())
+
+    def cut_cost(chain: _Chain, keys: Iterable[_Key]) -> float:
+        capacity = peak(keys)
+        return max(capacity * (len(chain) - 1) * prices.fiber_pair_span, 1e-9)
+
+    def amp_cost(site: str, keys: Iterable[_Key]) -> float:
+        # Read-only on ``served``: indexing its defaultdicts here would
+        # insert the empty pair lists of every scenario scored.
+        demand_now = {
+            scenario: list(pairs)
+            for scenario, pairs in served.get(site, {}).items()
+        }
+        for scenario, pair in keys:
+            demand_now.setdefault(scenario, []).append(pair)
+        needed = max(size(pairs) for pairs in demand_now.values())
+        to_place = max(0, needed - sites[site])
+        return max(to_place * prices.amplifier, 1e-9)
 
     # Violating keys with their records, in ``current`` order.
     violating = [
@@ -210,64 +248,101 @@ def place_cut_throughs(
         for key, path in current.items()
         if (rec := record(path)).violates
     ]
+    # Cached costs of fully-resolving candidates, dropped when stale.
+    cut_costs: dict[_Chain, float] = {}
+    amp_costs: dict[str, float] = {}
+    rounds = scored = 0
 
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 2000:
+    while violating:
+        rounds += 1
+        if rounds > 2000:
             raise PlanningError("cut-through placement did not converge")
 
-        if not violating:
-            break
-
-        # Cut-through candidates: chain -> {key -> bypassed path} resolved.
-        cut_resolves: dict[_Chain, dict[_Key, EffectivePath]] = defaultdict(dict)
-        # Amplifier candidates: site -> {key -> amp node} resolved.
-        amp_resolves: dict[str, dict[_Key, str]] = defaultdict(dict)
-
-        # Partial-progress candidates, used when nothing fully resolves a
-        # path in one step (heavily switched paths need an amplifier AND
-        # cut-throughs): excess-dB reduction per candidate.
-        cut_progress: dict[_Chain, dict[_Key, EffectivePath]] = defaultdict(dict)
-        cut_gain: dict[_Chain, float] = defaultdict(float)
-        amp_progress: dict[str, dict[_Key, str]] = defaultdict(dict)
-        amp_gain: dict[str, float] = defaultdict(float)
-
+        # The keys each record stands for, in violating order.
+        members: dict[_PathRecord, list[_Key]] = defaultdict(list)
         for key, rec in violating:
+            members[rec].append(key)
+
+        def keys_of(recs: Iterable[_PathRecord]) -> Iterator[_Key]:
+            for rec in recs:
+                yield from members[rec]
+
+        # Candidate tables per record: chain -> {record -> bypassed path}
+        # and site -> records, for the candidates that fully resolve.
+        cut_table: dict[_Chain, dict[_PathRecord, EffectivePath]] = (
+            defaultdict(dict)
+        )
+        amp_table: dict[str, list[_PathRecord]] = defaultdict(list)
+        for rec in members:
             for bypass in rec.bypasses:
                 if bypass.resolves:
-                    cut_resolves[bypass.chain][key] = bypass.fixed
-                if bypass.reduction > 1e-9:
-                    cut_progress[bypass.chain][key] = bypass.fixed
-                    cut_gain[bypass.chain] += bypass.reduction
-            for site in rec.amp_sites:
-                amp_resolves[site][key] = site
-            for site, reduction in rec.amp_steps:
-                amp_progress[site][key] = site
-                amp_gain[site] += reduction
+                    cut_table[bypass.chain][rec] = bypass.fixed
+            for fix_site in rec.amp_sites:
+                amp_table[fix_site].append(rec)
 
-        if not cut_resolves and not amp_resolves:
+        # The chosen action: a chain to cut through or a site to amplify.
+        chain: _Chain | None = None
+        site: str | None = None
+        if cut_table or amp_table:
+            best_score: tuple[float, int] | None = None
+            for candidate in sorted(cut_table):
+                cost = cut_costs.get(candidate)
+                if cost is None:
+                    cost = cut_costs[candidate] = cut_cost(
+                        candidate, keys_of(cut_table[candidate])
+                    )
+                    scored += 1
+                count = sum(len(members[rec]) for rec in cut_table[candidate])
+                score = (count / cost, count)
+                if best_score is None or score > best_score:
+                    best_score, chain = score, candidate
+            for candidate in sorted(amp_table):
+                cost = amp_costs.get(candidate)
+                if cost is None:
+                    cost = amp_costs[candidate] = amp_cost(
+                        candidate, keys_of(amp_table[candidate])
+                    )
+                    scored += 1
+                count = sum(len(members[rec]) for rec in amp_table[candidate])
+                score = (count / cost, count)
+                if best_score is None or score > best_score:
+                    best_score, chain, site = score, None, candidate
+        else:
             # Fall back to the best partial step (strict progress keeps
             # the loop terminating); combinations complete over iterations.
-            best_partial: tuple[float, str, object] | None = None
-            for chain, gain in cut_gain.items():
+            # Heavily switched paths need an amplifier AND cut-throughs.
+            # Summed per key, not per record: the float sums' rounding
+            # depends on the order of their terms.
+            cut_gain: dict[_Chain, float] = defaultdict(float)
+            amp_gain: dict[str, float] = defaultdict(float)
+            for _, rec in violating:
+                for bypass in rec.bypasses:
+                    if bypass.reduction > 1e-9:
+                        cut_gain[bypass.chain] += bypass.reduction
+                for step_site, reduction in rec.amp_steps:
+                    amp_gain[step_site] += reduction
+            for rec in members:
+                for bypass in rec.bypasses:
+                    if bypass.reduction > 1e-9:
+                        cut_table[bypass.chain][rec] = bypass.fixed
+                for step_site, _ in rec.amp_steps:
+                    amp_table[step_site].append(rec)
+
+            best_ratio: float | None = None
+            for candidate, gain in cut_gain.items():
+                pairs = [pair for _, pair in keys_of(cut_table[candidate])]
                 cost = max(
-                    (len(chain) - 1)
-                    * hose_capacity(
-                        [pair for _, pair in cut_progress[chain]],
-                        region.dc_fibers,
-                    )
-                    * prices.fiber_pair_span,
+                    (len(candidate) - 1) * size(pairs) * prices.fiber_pair_span,
                     1e-9,
                 )
-                candidate = (gain / cost, "cut", chain)
-                if best_partial is None or candidate[0] > best_partial[0]:
-                    best_partial = candidate
-            for site, gain in amp_gain.items():
-                candidate = (gain / max(prices.amplifier, 1e-9), "amp", site)
-                if best_partial is None or candidate[0] > best_partial[0]:
-                    best_partial = candidate
-            if best_partial is None:
+                scored += 1
+                if best_ratio is None or gain / cost > best_ratio:
+                    best_ratio, chain = gain / cost, candidate
+            for candidate, gain in amp_gain.items():
+                ratio = gain / max(prices.amplifier, 1e-9)
+                if best_ratio is None or ratio > best_ratio:
+                    best_ratio, chain, site = ratio, None, candidate
+            if best_ratio is None:
                 details = []
                 for key, _ in violating[:3]:
                     scenario, pair = key
@@ -281,98 +356,60 @@ def place_cut_throughs(
                     "no cut-through or amplifier resolves remaining "
                     "violations: " + " | ".join(details)
                 )
-            _, kind, target = best_partial
-            if kind == "cut":
-                chain = target
-                touched: Mapping[_Key, object] = cut_progress[chain]
-                current.update(cut_progress[chain])
-                link_users.setdefault(chain, set()).update(cut_progress[chain])
-            else:
-                site = target
-                touched = amp_progress[site]
-                for key in amp_progress[site]:
-                    scenario, pair = key
-                    current[key] = current[key].with_amp(site)
-                    amp_assignments[key] = site
-                    served[site][scenario].append(pair)
-                needed = max(
-                    hose_capacity(pairs, region.dc_fibers)
-                    for pairs in served[site].values()
-                )
-                sites[site] = max(sites[site], needed)
-            violating = _recheck(violating, touched, current, record)
-            continue
 
-        def cut_cost(chain: _Chain) -> float:
-            by_scenario: dict[Scenario, list[Pair]] = defaultdict(list)
-            for scenario, pair in cut_resolves[chain]:
-                by_scenario[scenario].append(pair)
-            capacity = max(
-                hose_capacity(pairs, region.dc_fibers)
-                for pairs in by_scenario.values()
-            )
-            return max(capacity * (len(chain) - 1) * prices.fiber_pair_span, 1e-9)
-
-        def amp_cost(site: str) -> float:
-            # Read-only on ``served``: indexing its defaultdicts here would
-            # insert the empty pair lists of every scenario scored.
-            demand_now = dict(served.get(site, {}))
-            for (scenario, pair) in amp_resolves[site]:
-                demand_now[scenario] = demand_now.get(scenario, []) + [pair]
-            needed = max(
-                hose_capacity(pairs, region.dc_fibers)
-                for pairs in demand_now.values()
-            )
-            to_place = max(0, needed - sites[site])
-            return max(to_place * prices.amplifier, 1e-9)
-
-        best_score = None
-        best_action: tuple[str, object] | None = None
-        for chain in sorted(cut_resolves):
-            score = (len(cut_resolves[chain]) / cut_cost(chain), len(cut_resolves[chain]))
-            if best_score is None or score > best_score:
-                best_score, best_action = score, ("cut", chain)
-        for site in sorted(amp_resolves):
-            score = (len(amp_resolves[site]) / amp_cost(site), len(amp_resolves[site]))
-            if best_score is None or score > best_score:
-                best_score, best_action = score, ("amp", site)
-
-        assert best_action is not None
-        kind, target = best_action
-        if kind == "cut":
-            chain = target  # type: ignore[assignment]
-            touched = cut_resolves[chain]
-            current.update(cut_resolves[chain])
-            link_users.setdefault(chain, set()).update(cut_resolves[chain])
+        # The path each chosen record's keys move to, with its record.
+        if site is None:
+            assert chain is not None
+            targets = cut_table[chain]
         else:
-            site = target  # type: ignore[assignment]
-            touched = amp_resolves[site]
-            for key in amp_resolves[site]:
+            targets = {rec: rec.path.with_amp(site) for rec in amp_table[site]}
+        moves = {rec: (path, record(path)) for rec, path in targets.items()}
+        # Only the moved records lose keys and only their successors gain
+        # some, so only the costs of the candidates they list go stale.
+        for rec, (_, successor) in moves.items():
+            for listed in (rec, successor):
+                for bypass in listed.bypasses:
+                    if bypass.resolves:
+                        cut_costs.pop(bypass.chain, None)
+                for listed_site in listed.amp_sites:
+                    amp_costs.pop(listed_site, None)
+
+        # Move the chosen records' keys, in violating order, and keep the
+        # keys that still violate.
+        remaining = []
+        touched = []
+        for key, rec in violating:
+            move = moves.get(rec)
+            if move is None:
+                remaining.append((key, rec))
+                continue
+            current[key], successor = move
+            touched.append(key)
+            if successor.violates:
+                remaining.append((key, successor))
+        violating = remaining
+        if site is None:
+            link_users.setdefault(chain, set()).update(touched)
+        else:
+            for key in touched:
                 scenario, pair = key
-                current[key] = current[key].with_amp(site)
                 amp_assignments[key] = site
                 served[site][scenario].append(pair)
-            needed = max(
-                hose_capacity(pairs, region.dc_fibers)
-                for pairs in served[site].values()
-            )
+            needed = max(size(pairs) for pairs in served[site].values())
             sites[site] = max(sites[site], needed)
-        violating = _recheck(violating, touched, current, record)
+            # The site's demand and installed count changed.
+            amp_costs.pop(site, None)
 
     obs.incr("cutthrough.paths_evaluated", len(records))
+    obs.incr("cutthrough.rounds", rounds)
+    obs.incr("cutthrough.costs_scored", scored)
     placed: list[CutThroughLink] = []
-    for chain, users in sorted(link_users.items()):
-        by_scenario: dict[Scenario, list[Pair]] = defaultdict(list)
-        for scenario, pair in users:
-            by_scenario[scenario].append(pair)
-        capacity = max(
-            hose_capacity(pairs, region.dc_fibers) for pairs in by_scenario.values()
-        )
+    for via, users in sorted(link_users.items()):
         length = sum(
-            region.fiber_map.duct_length(u, v) for u, v in zip(chain, chain[1:])
+            region.fiber_map.duct_length(u, v) for u, v in zip(via, via[1:])
         )
         placed.append(
-            CutThroughLink(via=chain, fiber_pairs=capacity, length_km=length)
+            CutThroughLink(via=via, fiber_pairs=peak(users), length_km=length)
         )
 
     final_amps = AmplifierPlan(

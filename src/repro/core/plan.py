@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+from repro import obs
 from repro.cost.estimator import Inventory
 from repro.core.engine import PlanTimings
 from repro.obs import SpanRecord
@@ -354,14 +355,29 @@ class IrisPlan:
     # -- validation ---------------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Constraint violations across every scenario path (empty = valid)."""
-        problems: list[str] = []
+        """Constraint violations across every scenario path (empty = valid).
+
+        Each distinct effective path is checked once; its violations are
+        then reported for every (scenario, pair) that routes over it,
+        ordered by scenario size, scenario and pair.
+        """
         sla = self.region.constraints.sla_fiber_km
-        for (scenario, pair), path in sorted(
-            self.effective_paths.items(),
-            key=lambda kv: (len(kv[0][0]), sorted(kv[0][0]), kv[0][1]),
+        checked: dict[EffectivePath, list[str]] = {}
+        failing: list[tuple[tuple[Scenario, Pair], list[str]]] = []
+        for key, path in self.effective_paths.items():
+            found = checked.get(path)
+            if found is None:
+                found = checked[path] = violations(
+                    path.profile(), sla_fiber_km=sla
+                )
+            if found:
+                failing.append((key, found))
+        obs.incr("validate.paths_checked", len(checked))
+        problems: list[str] = []
+        for (scenario, pair), found in sorted(
+            failing, key=lambda kv: (len(kv[0][0]), sorted(kv[0][0]), kv[0][1])
         ):
-            for problem in violations(path.profile(), sla_fiber_km=sla):
+            for problem in found:
                 problems.append(
                     f"{pair} under {sorted(scenario) or 'no failures'}: {problem}"
                 )

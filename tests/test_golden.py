@@ -14,8 +14,12 @@ import pytest
 
 from repro import api, obs
 from repro.api import PlannerConfig
+from repro.core.amplifiers import place_amplifiers
+from repro.core.cutthrough import place_cut_throughs
 from repro.core.hose import clear_hose_cache
+from repro.core.plan import IrisPlan
 from repro.core.planner import plan_region
+from repro.core.topology import plan_topology
 from repro.cost.estimator import estimate_cost
 from repro.designs.eps import eps_inventory
 from repro.region.catalog import make_region
@@ -86,30 +90,38 @@ class TestGoldenObservability:
         _, record = traced_plan
         assert record.total("paths.scenarios") == 217
         assert record.total("scenarios.evaluated") == 217
-        assert record.total("hose.lookups") == 15762  # capacity + cut-through
+        # Capacity (4,433) + cut-through (20: one per distinct pair set).
+        assert record.total("hose.lookups") == 4453
 
     def test_per_path_work_totals(self, traced_plan):
         """Per-path work is done once per distinct path: one Dijkstra per
         DC with a higher-named DC left to route to (4 of 5), one
         EffectivePath per distinct route, one cut-through record per
-        distinct effective path."""
+        distinct effective path, one validation check per distinct
+        effective path (104 of 2,170 keys). The greedy takes 8 rounds and
+        computes a candidate's cost only when its keys, or its site's
+        amplifiers, changed since it was last scored."""
         _, record = traced_plan
         assert record.total("enumerate.dijkstra_runs") == 217 * 4
         assert record.total("amplifiers.paths_built") == 104
         assert record.total("cutthrough.paths_evaluated") == 144
+        assert record.total("cutthrough.rounds") == 8
+        assert record.total("cutthrough.costs_scored") == 368
+        assert record.total("validate.paths") == 2170
+        assert record.total("validate.paths_checked") == 104
 
     def test_hose_miss_totals(self, traced_plan):
         """Distinct flow graphs solved over the whole plan (capacity and
         cut-through phases), each once, from scratch."""
         _, record = traced_plan
         assert record.total("hose.cache_miss") == 92
-        assert record.total("hose.cache_hit") == 15762 - 92
+        assert record.total("hose.cache_hit") == 4453 - 92
 
     def test_flow_value_distribution(self, traced_plan):
         _, record = traced_plan
         assert record.counter_totals("hose.flow.") == {
-            "hose.flow.fibers[le_8]": 15386,
-            "hose.flow.fibers[le_16]": 375,
+            "hose.flow.fibers[le_8]": 4140,
+            "hose.flow.fibers[le_16]": 312,
             "hose.flow.fibers[le_32]": 1,
         }
 
@@ -142,11 +154,12 @@ GOLDEN_DIGESTS = {
     (1, 6): "87ef8d778f769e40",
     (2, 6): "2b624e9a80b37a49",
     (3, 6): "c788b80e90519c60",
+    (5, 6): "fd1bdd0cf5edb79f",  # 3 cut-through links, one partial step
 }
 
 
 class TestGoldenPlanBytes:
-    """The plan bytes the daemon serves, pinned for nine catalog regions.
+    """The plan bytes the daemon serves, pinned for ten catalog regions.
 
     Any change to a tie-break — in Dijkstra, in the amplifier or the
     cut-through greedy — moves these digests. They do not depend on
@@ -164,6 +177,37 @@ class TestGoldenPlanBytes:
     def test_serial_plan_bytes(self, cell):
         assert self._digest(cell, jobs=1)[:16] == GOLDEN_DIGESTS[cell]
 
-    @pytest.mark.parametrize("cell", [(0, 5), (1, 6)])
+    @pytest.mark.parametrize("cell", [(0, 5), (1, 6), (5, 6)])
     def test_parallel_plan_bytes(self, cell):
         assert self._digest(cell, jobs=2)[:16] == GOLDEN_DIGESTS[cell]
+
+
+class TestCutThroughOnlyAblation:
+    """The golden region realized by cut-throughs alone
+    (``allow_amplifiers=False``, as ``benchmarks/bench_ablations.py`` runs
+    it): the greedy's cut branch at scale, pinned by the canonical digest
+    of a plan holding its links, amplifier plan and effective paths."""
+
+    def test_links_and_paths(self):
+        region = make_region(map_index=0, n_dcs=5, dc_fibers=8).spec
+        topology = plan_topology(region)
+        amps, effective = place_amplifiers(region, topology)
+        links, paths, final = place_cut_throughs(
+            region,
+            effective,
+            site_counts=amps.site_counts,
+            assignments=amps.assignments,
+            allow_amplifiers=False,
+        )
+        assert len(links) == 29
+        assert sum(link.fiber_pair_spans for link in links) == 776
+        assert final.total_amplifiers == 0
+        plan = IrisPlan(
+            region=region,
+            topology=topology,
+            amplifiers=final,
+            cut_throughs=links,
+            residual={},
+            effective_paths=paths,
+        )
+        assert _canonical_digest(plan)[:16] == "9fa77136144ab21f"

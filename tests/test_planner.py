@@ -1,11 +1,16 @@
 """End-to-end Iris planning: integration tests and plan invariants."""
 
+import dataclasses
+
 import pytest
 
+from repro import obs
 from repro.core.failures import Scenario
+from repro.core.plan import EffectivePath
 from repro.core.planner import IrisPlanner, plan_region
 from repro.core.residual import residual_fiber_pairs, residual_pair_count
 from repro.core.topology import plan_topology
+from repro.optics.constraints import violations
 
 
 class TestToyPlan:
@@ -44,6 +49,37 @@ class TestToyPlan:
 class TestSyntheticPlan:
     def test_plan_is_constraint_clean(self, small_plan):
         assert small_plan.validate() == []
+
+    def test_violations_reported_per_key_in_order(self, small_plan):
+        """``validate`` checks each distinct path once, yet reports every
+        (scenario, pair) routed over a violating path, with the text and
+        order of a check of every key."""
+        fmap = small_plan.region.fiber_map
+        sla = small_plan.region.constraints.sla_fiber_km
+        # The raw routes (no amplifiers, no cut-throughs), in reverse
+        # scenario order, one new object per key: equal paths share no
+        # object, so only their values match.
+        raw = {
+            (scenario, pair): EffectivePath.from_path(fmap, nodes)
+            for scenario, paths in reversed(
+                list(small_plan.topology.scenario_paths.items())
+            )
+            for pair, nodes in paths.items()
+        }
+        expected = [
+            f"{pair} under {sorted(scenario) or 'no failures'}: {problem}"
+            for (scenario, pair), path in sorted(
+                raw.items(),
+                key=lambda kv: (len(kv[0][0]), sorted(kv[0][0]), kv[0][1]),
+            )
+            for problem in violations(path.profile(), sla_fiber_km=sla)
+        ]
+        assert len(expected) > 100
+        plan = dataclasses.replace(small_plan, effective_paths=raw)
+        with obs.tracing("validate") as tracer:
+            assert plan.validate() == expected
+        checked = tracer.record().total("validate.paths_checked")
+        assert checked == len(set(raw.values())) < len(raw)
 
     def test_every_scenario_pair_has_a_path(self, small_plan):
         region = small_plan.region
