@@ -474,7 +474,6 @@ def cmd_lint(args) -> int:
             args.paths,
             rules=selected,
             report_unused_noqa=args.report_unused_noqa,
-            store=_open_store(args),
         )
     except LintUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -845,7 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip (repeatable), "
         "e.g. --disable R006,R011",
     )
-    _add_store_args(p)
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(

@@ -626,7 +626,18 @@ class PlanTimings:
         return self.hose_cache_hits / lookups
 
     def summary(self) -> str:
-        """A one-line human-readable breakdown (used by the CLI)."""
+        """A one-line human-readable breakdown (used by the CLI).
+
+        A plan loaded from the store keeps only its scenario count and its
+        total hose lookups (see :mod:`repro.serialize`), so its line has
+        no wall times and no hit/miss split.
+        """
+        if self.backend == "store":
+            lookups = self.hose_cache_hits + self.hose_cache_misses
+            return (
+                f"loaded from the store: {self.scenarios_evaluated} scenarios, "
+                f"{lookups} hose lookups"
+            )
         return (
             f"{self.total_s:.2f} s total "
             f"(paths {self.enumerate_s:.2f} s, capacity {self.capacity_s:.2f} s), "

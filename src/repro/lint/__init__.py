@@ -26,12 +26,9 @@ resolved across files (:mod:`repro.lint.callgraph`), per-function effect
 and unit summaries close transitively over it
 (:mod:`repro.lint.summaries`), and findings fire at call sites arbitrarily
 far from the root cause, quoting the chain. Three pool-safety rules
-(R012-R014) check every callable submitted to the execution backends, a
-conservative autofixer (:mod:`repro.lint.fix`, ``iris lint --fix``)
-rewrites the mechanical findings, and phase-1 facts plus findings cache
-in a :class:`repro.store.cas.PlanStore` (``--store DIR``) with
-call-graph-aware invalidation, so a warm repo-wide lint re-parses
-nothing.
+(R012-R014) check every callable submitted to the execution backends, and
+a conservative autofixer (:mod:`repro.lint.fix`, ``iris lint --fix``)
+rewrites the mechanical findings.
 
 Since v4 a fourth phase (:mod:`repro.lint.concurrency`) analyzes the
 thread-shared state the ``iris serve`` daemon introduced: locksets over
@@ -58,13 +55,7 @@ comment anywhere in the flagged statement (R015 additionally accepts
 those escapes honest.
 """
 
-from repro.lint.concurrency import (
-    ConcurrencyContext,
-    FileConcurrency,
-    FunctionConcurrency,
-    build_concurrency,
-    extract_concurrency,
-)
+from repro.lint.concurrency import ConcurrencyContext, build_concurrency
 from repro.lint.driver import (
     LintUsageError,
     Suppressions,
@@ -87,19 +78,24 @@ from repro.lint.flow import (
 from repro.lint.project import ProjectContext, lint_project
 from repro.lint.registry import FileContext, Rule, all_rules, get_rule, rule
 from repro.lint.sarif import to_sarif
-from repro.lint.summaries import EffectOrigin, FunctionSummary, chain_text
+from repro.lint.summaries import (
+    EffectOrigin,
+    FileFacts,
+    FunctionFacts,
+    analyze_file,
+    chain_text,
+)
 
 __all__ = [
     "AbstractValue",
     "ConcurrencyContext",
     "EffectOrigin",
-    "FileConcurrency",
-    "Finding",
     "FileContext",
+    "FileFacts",
+    "Finding",
     "FixReport",
     "FlowInfo",
-    "FunctionConcurrency",
-    "FunctionSummary",
+    "FunctionFacts",
     "LintUsageError",
     "Orderedness",
     "ProjectContext",
@@ -107,11 +103,11 @@ __all__ = [
     "Suppressions",
     "TextEdit",
     "all_rules",
+    "analyze_file",
     "analyze_flow",
     "apply_edits",
     "build_concurrency",
     "chain_text",
-    "extract_concurrency",
     "fix_sources",
     "get_rule",
     "iter_python_files",

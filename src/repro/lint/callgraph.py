@@ -1,14 +1,10 @@
-"""repro.lint.callgraph — the project-wide call graph under reprolint v3.
+"""repro.lint.callgraph — the project-wide call graph under reprolint.
 
-The v2 engine was deliberately intra-procedural: every fact a rule used
-was derivable from one function body, so a helper that seeds the global
-RNG was invisible at its call sites. v3 closes that gap. This module
-supplies the *syntactic* half of the interprocedural machinery:
+The per-file facts (:mod:`repro.lint.summaries`) record every call site
+with a **symbolic** target — ``local:helper`` or
+``import:repro.core.hose.solve`` — derivable from the file alone. This
+module turns those references into a graph over the whole lint set:
 
-* :class:`FileSyntax` — one file's function index (top-level functions,
-  class methods, nested ``def``s with their ``f.<locals>.g`` qualnames),
-  its import alias map, and every call site with a **symbolic** target
-  reference resolved against local scopes and imports;
 * :class:`ModuleIndex` — dotted-module-name → file resolution over the
   whole lint set, tolerant of the ``src/`` layout prefix;
 * :func:`resolve_target` — symbolic reference → project function id
@@ -16,14 +12,6 @@ supplies the *syntactic* half of the interprocedural machinery:
 * :func:`tarjan_scc` — strongly connected components of the resolved
   graph, in reverse-topological (bottom-up) order, which is the order
   the summary pass (:mod:`repro.lint.summaries`) propagates effects in.
-
-Symbolic references are the load-bearing design decision: a call site is
-recorded as ``local:helper`` or ``import:repro.core.hose.solve`` — facts
-derivable from the file *alone* — and resolved against the live module
-index on every run. That keeps per-file analyses pure functions of their
-source text, which is what lets :mod:`repro.lint.project` cache them in
-``repro.store`` keyed by source digest and still invalidate correctly
-when the rest of the project changes around them.
 
 Resolution is best-effort and silent on failure (an unresolved call
 contributes no edge and no finding): precision lives in what *does*
@@ -35,18 +23,20 @@ and nested functions visible from their enclosing scopes.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.lint.summaries import FileFacts
 
 __all__ = [
-    "CallSite",
-    "FileSyntax",
-    "LocalFunction",
     "ModuleIndex",
-    "analyze_syntax",
+    "decorator_names",
+    "dotted_parts",
     "function_id",
     "module_name_for_path",
     "resolve_target",
+    "scope_chain",
+    "split_function_id",
     "tarjan_scc",
 ]
 
@@ -79,182 +69,7 @@ def module_name_for_path(path: str) -> str:
     return ".".join(parts)
 
 
-@dataclass(frozen=True)
-class LocalFunction:
-    """One function definition inside a file, with its scope context."""
-
-    qualname: str
-    name: str
-    lineno: int
-    parent: str | None
-    class_name: str | None
-    is_nested: bool
-    params: tuple[str, ...]
-    decorators: tuple[str, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "lineno": self.lineno,
-            "parent": self.parent,
-            "class_name": self.class_name,
-            "is_nested": self.is_nested,
-            "params": list(self.params),
-            "decorators": list(self.decorators),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LocalFunction":
-        return cls(
-            qualname=str(data["qualname"]),
-            name=str(data["name"]),
-            lineno=int(data["lineno"]),
-            parent=data.get("parent"),
-            class_name=data.get("class_name"),
-            is_nested=bool(data["is_nested"]),
-            params=tuple(data.get("params", ())),
-            decorators=tuple(data.get("decorators", ())),
-        )
-
-
-@dataclass(frozen=True)
-class CallSite:
-    """One call site with a symbolically resolved target.
-
-    ``target`` is ``"local:<qualname>"`` for functions in the same file or
-    ``"import:<dotted.path>"`` for names reached through the import map;
-    both forms are derivable from the file alone and are resolved against
-    the project on every run (:func:`resolve_target`).
-    """
-
-    caller: str | None
-    target: str
-    lineno: int
-    label: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "caller": self.caller,
-            "target": self.target,
-            "lineno": self.lineno,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CallSite":
-        return cls(
-            caller=data.get("caller"),
-            target=str(data["target"]),
-            lineno=int(data["lineno"]),
-            label=str(data["label"]),
-        )
-
-
-@dataclass
-class FileSyntax:
-    """The call-graph-relevant syntax of one file.
-
-    Serializable (``to_dict``/``from_dict``) so :mod:`repro.lint.project`
-    can cache it keyed by source digest; the AST-node maps (``node_qualnames``,
-    ``scope_nodes``) only exist on live-parsed instances and are rebuilt
-    whenever the file is re-parsed.
-    """
-
-    path: str
-    module: str
-    functions: dict[str, LocalFunction] = field(default_factory=dict)
-    imports: dict[str, str] = field(default_factory=dict)
-    calls: list[CallSite] = field(default_factory=list)
-    #: Live-only: FunctionDef/AsyncFunctionDef node -> qualname.
-    node_qualnames: dict[ast.AST, str] = field(default_factory=dict, repr=False)
-    #: Live-only: per-scope name -> qualname tables ("" is module scope).
-    scope_names: dict[str, dict[str, str]] = field(default_factory=dict, repr=False)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "functions": {
-                q: f.to_dict() for q, f in sorted(self.functions.items())
-            },
-            "imports": dict(sorted(self.imports.items())),
-            "calls": [c.to_dict() for c in self.calls],
-            "scope_names": {
-                scope: dict(sorted(names.items()))
-                for scope, names in sorted(self.scope_names.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FileSyntax":
-        return cls(
-            path=str(data["path"]),
-            module=str(data["module"]),
-            functions={
-                q: LocalFunction.from_dict(f)
-                for q, f in data.get("functions", {}).items()
-            },
-            imports=dict(data.get("imports", {})),
-            calls=[CallSite.from_dict(c) for c in data.get("calls", [])],
-            scope_names={
-                scope: dict(names)
-                for scope, names in data.get("scope_names", {}).items()
-            },
-        )
-
-    # -- symbolic resolution -------------------------------------------------
-
-    def resolve_name(self, name: str, scope: str | None) -> str | None:
-        """Symbolic target of a bare ``name`` visible from ``scope``.
-
-        Searches nested-function tables innermost-out, then module-level
-        functions, then the import alias map.
-        """
-        chain = _scope_chain(scope)
-        for prefix in chain:
-            table = self.scope_names.get(prefix)
-            if table and name in table:
-                return f"local:{table[name]}"
-        if name in self.imports:
-            return f"import:{self.imports[name]}"
-        return None
-
-    def resolve_call_expr(
-        self, func: ast.expr, scope: str | None
-    ) -> tuple[str, str] | None:
-        """(symbolic target, display label) for a call's function expr."""
-        if isinstance(func, ast.Name):
-            target = self.resolve_name(func.id, scope)
-            return (target, func.id) if target is not None else None
-        if isinstance(func, ast.Attribute):
-            parts = _dotted_parts(func)
-            if parts is None:
-                return None
-            root, rest = parts[0], parts[1:]
-            if root in ("self", "cls") and len(parts) == 2:
-                class_name = self._enclosing_class(scope)
-                if class_name is not None:
-                    qualname = f"{class_name}.{parts[1]}"
-                    if qualname in self.functions:
-                        return f"local:{qualname}", f"{root}.{parts[1]}"
-                return None
-            if root in self.imports and rest:
-                dotted = ".".join([self.imports[root], *rest])
-                return f"import:{dotted}", ".".join(parts)
-        return None
-
-    def _enclosing_class(self, scope: str | None) -> str | None:
-        """The class a method scope belongs to (``"C.m"`` → ``"C"``)."""
-        if scope is None:
-            return None
-        info = self.functions.get(scope)
-        if info is not None and info.class_name is not None:
-            return info.class_name
-        return None
-
-
-def _scope_chain(scope: str | None) -> list[str]:
+def scope_chain(scope: str | None) -> list[str]:
     """Scope-name prefixes to search, innermost first, ending at module.
 
     A scope ``"f.<locals>.g"`` sees names defined in ``g`` (prefix
@@ -273,7 +88,7 @@ def _scope_chain(scope: str | None) -> list[str]:
     return chain
 
 
-def _dotted_parts(node: ast.expr) -> list[str] | None:
+def dotted_parts(node: ast.expr) -> list[str] | None:
     """``a.b.c`` → ``["a", "b", "c"]``; None when the chain has calls etc."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -290,143 +105,10 @@ def decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, 
     names: list[str] = []
     for dec in node.decorator_list:
         expr = dec.func if isinstance(dec, ast.Call) else dec
-        parts = _dotted_parts(expr) if isinstance(expr, (ast.Name, ast.Attribute)) else None
+        parts = dotted_parts(expr) if isinstance(expr, (ast.Name, ast.Attribute)) else None
         if parts:
             names.append(".".join(parts))
     return tuple(names)
-
-
-class _SyntaxBuilder(ast.NodeVisitor):
-    """Two-pass builder: collect functions/imports, then call sites.
-
-    Collection must complete before resolution so forward references
-    (``def a(): return b()`` with ``b`` defined later) resolve.
-    """
-
-    def __init__(self, syntax: FileSyntax) -> None:
-        self.syntax = syntax
-        #: (kind, name) scope stack entries; kind is "func" or "class".
-        self._stack: list[tuple[str, str]] = []
-
-    # -- helpers -------------------------------------------------------------
-
-    def _qualname(self, name: str) -> str:
-        parts: list[str] = []
-        for kind, entry in self._stack:
-            parts.append(entry)
-            if kind == "func":
-                parts.append("<locals>")
-        parts.append(name)
-        return ".".join(parts)
-
-    def _enclosing_func(self) -> str | None:
-        for kind, entry in reversed(self._stack):
-            if kind == "func":
-                return entry
-        return None
-
-    def _scope_prefix(self) -> str:
-        """The name-table key for the current scope ("" = module)."""
-        func = self._enclosing_func()
-        return func if func is not None else ""
-
-    # -- pass 1: functions + imports ----------------------------------------
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            bound = alias.asname or alias.name.split(".", 1)[0]
-            target = alias.name if alias.asname else alias.name.split(".", 1)[0]
-            self.syntax.imports.setdefault(bound, target)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        base = self._absolute_module(node)
-        if base is None:
-            return
-        for alias in node.names:
-            if alias.name == "*":
-                continue
-            bound = alias.asname or alias.name
-            self.syntax.imports.setdefault(bound, f"{base}.{alias.name}")
-
-    def _absolute_module(self, node: ast.ImportFrom) -> str | None:
-        if node.level == 0:
-            return node.module
-        base_parts = self.syntax.module.split(".")
-        if node.level > len(base_parts):
-            return None
-        base_parts = base_parts[: len(base_parts) - node.level]
-        if node.module:
-            base_parts.append(node.module)
-        return ".".join(base_parts) if base_parts else None
-
-    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        qualname = self._qualname(node.name)
-        class_name = (
-            self._stack[-1][1] if self._stack and self._stack[-1][0] == "class" else None
-        )
-        args = node.args
-        params = tuple(
-            a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-        )
-        self.syntax.functions[qualname] = LocalFunction(
-            qualname=qualname,
-            name=node.name,
-            lineno=node.lineno,
-            parent=self._enclosing_func(),
-            class_name=class_name,
-            is_nested=self._enclosing_func() is not None,
-            params=params,
-            decorators=decorator_names(node),
-        )
-        self.syntax.node_qualnames[node] = qualname
-        self.syntax.scope_names.setdefault(self._scope_prefix(), {})[
-            node.name
-        ] = qualname
-        self._stack.append(("func", qualname))
-        self.generic_visit(node)
-        self._stack.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._stack.append(("class", self._qualname(node.name)))
-        self.generic_visit(node)
-        self._stack.pop()
-
-
-class _CallCollector(ast.NodeVisitor):
-    """Pass 2: record every call site with its symbolic target."""
-
-    def __init__(self, syntax: FileSyntax) -> None:
-        self.syntax = syntax
-        self._scope: list[str] = []
-
-    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        self._scope.append(self.syntax.node_qualnames[node])
-        self.generic_visit(node)
-        self._scope.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def visit_Call(self, node: ast.Call) -> None:
-        scope = self._scope[-1] if self._scope else None
-        resolved = self.syntax.resolve_call_expr(node.func, scope)
-        if resolved is not None:
-            target, label = resolved
-            self.syntax.calls.append(
-                CallSite(caller=scope, target=target, lineno=node.lineno, label=label)
-            )
-        self.generic_visit(node)
-
-
-def analyze_syntax(tree: ast.AST, path: str) -> FileSyntax:
-    """Build the :class:`FileSyntax` of one parsed file."""
-    syntax = FileSyntax(path=path, module=module_name_for_path(path))
-    _SyntaxBuilder(syntax).visit(tree)
-    _CallCollector(syntax).visit(tree)
-    return syntax
 
 
 class ModuleIndex:
@@ -438,17 +120,17 @@ class ModuleIndex:
     the wrong file.
     """
 
-    def __init__(self, syntaxes: Iterable[FileSyntax]) -> None:
+    def __init__(self, files: Iterable[FileFacts]) -> None:
         self._exact: dict[str, str] = {}
         suffix_hits: dict[str, list[str]] = {}
-        for syntax in sorted(syntaxes, key=lambda s: s.path):
-            if not syntax.module:
+        for facts in sorted(files, key=lambda f: f.path):
+            if not facts.module:
                 continue
-            self._exact.setdefault(syntax.module, syntax.path)
-            parts = syntax.module.split(".")
+            self._exact.setdefault(facts.module, facts.path)
+            parts = facts.module.split(".")
             for i in range(len(parts)):
                 suffix = ".".join(parts[i:])
-                suffix_hits.setdefault(suffix, []).append(syntax.path)
+                suffix_hits.setdefault(suffix, []).append(facts.path)
         self._by_suffix: dict[str, str] = {
             suffix: paths[0]
             for suffix, paths in suffix_hits.items()
@@ -462,20 +144,20 @@ class ModuleIndex:
 
 def resolve_target(
     target: str,
-    own_syntax: FileSyntax,
+    own: FileFacts,
     index: ModuleIndex,
-    syntaxes: Mapping[str, FileSyntax],
+    files: Mapping[str, FileFacts],
 ) -> str | None:
     """Resolve one symbolic call target to a project function id.
 
-    ``local:`` targets resolve within ``own_syntax``; ``import:`` targets
+    ``local:`` targets resolve within ``own``; ``import:`` targets
     split the dotted path into the longest module prefix known to the
     index plus a trailing function (or ``Class.method``) qualname.
     """
     kind, _, ref = target.partition(":")
     if kind == "local":
-        if ref in own_syntax.functions:
-            return function_id(own_syntax.path, ref)
+        if ref in own.functions:
+            return function_id(own.path, ref)
         return None
     if kind != "import":
         return None
@@ -488,8 +170,8 @@ def resolve_target(
         if path is None:
             continue
         qualname = ".".join(parts[cut:])
-        syntax = syntaxes.get(path)
-        if syntax is not None and qualname in syntax.functions:
+        facts = files.get(path)
+        if facts is not None and qualname in facts.functions:
             return function_id(path, qualname)
         return None
     return None

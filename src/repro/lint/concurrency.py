@@ -47,419 +47,42 @@ owners.
 ``daemon=``-explicit or joined, and ``.wait()`` calls inside ``while``
 worker loops must carry a timeout so a SIGTERM drain cannot hang.
 
-Like the v3 phases, per-file facts (:class:`FileConcurrency`) are pure
-functions of one file's source — serializable and cached under the
-file's digest — while the cross-file products (entry locksets, the lock
-graph, resolved resource returns) are rebuilt per run from cached facts
-by :func:`build_concurrency` and exposed to rules as
+The per-function facts — acquisitions, ``self.*`` accesses and call
+sites, each with the lockset held — come from the one own-scope walk of
+:mod:`repro.lint.summaries`; the cross-file products (entry locksets,
+the lock graph, resolved resource returns) are built per run by
+:func:`build_concurrency` and exposed to rules as
 ``ctx.project.concurrency``.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from repro.lint.callgraph import FileSyntax, split_function_id
+from repro.lint.callgraph import function_id, split_function_id, tarjan_scc
 from repro.lint.findings import Finding
 from repro.lint.registry import FileContext, rule
 from repro.lint.summaries import (
     EffectOrigin,
-    FunctionSummary,
+    FileFacts,
+    FunctionFacts,
+    acquisition_kind_syntactic,
     blocking_call_violation,
+    canonical_lock,
     chain_text,
+    is_thread_ctor,
     propagate_effects,
 )
 
 __all__ = [
     "ConcurrencyContext",
-    "FileConcurrency",
-    "FunctionConcurrency",
     "build_concurrency",
-    "extract_concurrency",
 ]
 
 
-# -- canonical lock names ------------------------------------------------------
-
-#: Name fragments that make an attribute or variable "lock-ish".
-_LOCKISH = ("lock", "mutex")
-
-#: Bare names that are lock-ish without containing a fragment.
-_LOCKISH_EXACT = frozenset({"cv", "cond", "condition"})
-
-#: threading constructors -> lock kind (reentrancy matters for R017).
-_LOCK_CTORS = {
-    "Lock": "lock",
-    "RLock": "rlock",
-    "Condition": "condition",
-    "Semaphore": "semaphore",
-    "BoundedSemaphore": "semaphore",
-}
-
-
-def _lockish(name: str) -> bool:
-    lowered = name.lower()
-    return (
-        any(f in lowered for f in _LOCKISH)
-        or lowered.lstrip("_") in _LOCKISH_EXACT
-    )
-
-
-def _dotted_text(node: ast.expr) -> list[str] | None:
-    """``a.b.c`` → ``["a", "b", "c"]``; None for anything non-dotted."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return None
-
-
-def canonical_lock(
-    expr: ast.expr, class_name: str | None, module: str
-) -> str | None:
-    """The project-wide name of a lock a ``with`` item acquires, if any.
-
-    ``self._lock`` in a method of ``PlannerService`` canonicalizes to
-    ``PlannerService._lock`` (instance locks are per-object, but one name
-    per class is the right granularity for ordering analysis); a bare
-    module-level ``_LOCK`` to ``<module>._LOCK``. Calls are never locks —
-    ``with self._guard():`` yields a fresh object per call.
-    """
-    parts = _dotted_text(expr)
-    if not parts or not _lockish(parts[-1]):
-        return None
-    if parts[0] in ("self", "cls"):
-        owner = class_name if class_name is not None else "self"
-        return ".".join([owner, *parts[1:]])
-    if len(parts) == 1:
-        return f"{module}.{parts[0]}"
-    return ".".join(parts)
-
-
-# -- per-file facts (cacheable) ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FunctionConcurrency:
-    """Concurrency-relevant facts of one function, from its source alone."""
-
-    qualname: str
-    #: ``(lock, line)`` for every ``with <lock>:`` acquisition.
-    acquires: tuple[tuple[str, int], ...] = ()
-    #: ``(outer, inner, line)`` for directly nested acquisitions.
-    nested: tuple[tuple[str, str, int], ...] = ()
-    #: ``(symbolic target, label, line, locks held)`` for project calls.
-    calls: tuple[tuple[str, str, int, tuple[str, ...]], ...] = ()
-    #: ``(attr, line, col, locks held, "read"|"write")`` for ``self.*``
-    #: data accesses (methods and lock-ish attributes excluded).
-    accesses: tuple[tuple[str, int, int, tuple[str, ...], str], ...] = ()
-    #: Whether the body constructs a ``threading.Thread``.
-    spawns_thread: bool = False
-    #: ``"direct:<kind>"`` when a return statement hands back a fresh
-    #: resource, ``"call:<target>"`` when it returns another function's
-    #: result (resolved per run), else None.
-    returns_resource: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "acquires": [list(a) for a in self.acquires],
-            "nested": [list(n) for n in self.nested],
-            "calls": [[t, la, li, list(lk)] for t, la, li, lk in self.calls],
-            "accesses": [
-                [a, li, c, list(lk), k] for a, li, c, lk, k in self.accesses
-            ],
-            "spawns_thread": self.spawns_thread,
-            "returns_resource": self.returns_resource,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FunctionConcurrency":
-        return cls(
-            qualname=str(data["qualname"]),
-            acquires=tuple(
-                (str(lk), int(li)) for lk, li in data.get("acquires", [])
-            ),
-            nested=tuple(
-                (str(o), str(i), int(li)) for o, i, li in data.get("nested", [])
-            ),
-            calls=tuple(
-                (str(t), str(la), int(li), tuple(str(x) for x in lk))
-                for t, la, li, lk in data.get("calls", [])
-            ),
-            accesses=tuple(
-                (str(a), int(li), int(c), tuple(str(x) for x in lk), str(k))
-                for a, li, c, lk, k in data.get("accesses", [])
-            ),
-            spawns_thread=bool(data.get("spawns_thread", False)),
-            returns_resource=data.get("returns_resource"),
-        )
-
-
-@dataclass
-class FileConcurrency:
-    """Phase-1 concurrency facts of one file (cacheable)."""
-
-    path: str
-    functions: dict[str, FunctionConcurrency] = field(default_factory=dict)
-    #: Canonical lock name -> constructor kind ("lock", "rlock", ...).
-    lock_kinds: dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "functions": {
-                q: f.to_dict() for q, f in sorted(self.functions.items())
-            },
-            "lock_kinds": dict(sorted(self.lock_kinds.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FileConcurrency":
-        return cls(
-            path=str(data["path"]),
-            functions={
-                q: FunctionConcurrency.from_dict(f)
-                for q, f in data.get("functions", {}).items()
-            },
-            lock_kinds=dict(data.get("lock_kinds", {})),
-        )
-
-
-# -- extraction ----------------------------------------------------------------
-
-#: ``<module>.<attr>`` socket calls that hand back an open resource.
-_SOCKET_ACQ = frozenset({"socket", "create_connection"})
-
-#: Backend classes whose instances own process/thread pools.
-_POOL_CLASSES = frozenset({"ProcessBackend"})
-
-
-def _acquisition_kind_syntactic(call: ast.Call) -> str | None:
-    """Resource kind a call acquires, judged from the call shape alone."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        if func.id == "open":
-            return "file handle"
-        if func.id in _POOL_CLASSES:
-            return "worker pool"
-        return None
-    if not isinstance(func, ast.Attribute):
-        return None
-    parts = _dotted_text(func)
-    root = parts[0] if parts else None
-    if root == "socket" and func.attr in _SOCKET_ACQ:
-        return "socket"
-    if func.attr == "makefile":
-        return "stream"
-    if func.attr == "accept" and not call.args:
-        return "socket"
-    if root == "subprocess" and func.attr == "Popen":
-        return "process"
-    if func.attr in _POOL_CLASSES:
-        return "worker pool"
-    return None
-
-
-def _lock_kind_of(value: ast.expr) -> str | None:
-    """The threading-lock kind a constructor call builds, if any."""
-    if not isinstance(value, ast.Call):
-        return None
-    func = value.func
-    name = None
-    if isinstance(func, ast.Name):
-        name = func.id
-    elif isinstance(func, ast.Attribute):
-        parts = _dotted_text(func)
-        if parts and parts[0] == "threading":
-            name = func.attr
-    return _LOCK_CTORS.get(name) if name is not None else None
-
-
-def _is_thread_ctor(call: ast.Call) -> bool:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id == "Thread"
-    return isinstance(func, ast.Attribute) and func.attr == "Thread"
-
-
-class _FunctionWalker:
-    """One function body, walked with the current local lockset."""
-
-    def __init__(
-        self,
-        syntax: FileSyntax,
-        qualname: str,
-        class_name: str | None,
-        is_dunder_init: bool,
-        methods: frozenset[str],
-    ) -> None:
-        self.syntax = syntax
-        self.qualname = qualname
-        self.class_name = class_name
-        self.is_dunder_init = is_dunder_init
-        self.methods = methods
-        self.acquires: list[tuple[str, int]] = []
-        self.nested: list[tuple[str, str, int]] = []
-        self.calls: list[tuple[str, str, int, tuple[str, ...]]] = []
-        self.accesses: list[tuple[str, int, int, tuple[str, ...], str]] = []
-        self.spawns_thread = False
-        self.returns_resource: str | None = None
-        self.lock_kinds: dict[str, str] = {}
-
-    def walk(self, node: ast.AST, locks: tuple[str, ...]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            if isinstance(child, (ast.With, ast.AsyncWith)):
-                self._walk_with(child, locks)
-                continue
-            self._visit(child, locks)
-            self.walk(child, locks)
-
-    def _walk_with(
-        self, node: ast.With | ast.AsyncWith, locks: tuple[str, ...]
-    ) -> None:
-        held = locks
-        for item in node.items:
-            # The context expression evaluates before acquisition.
-            self._visit(item.context_expr, held)
-            self.walk(item.context_expr, held)
-            lock = canonical_lock(
-                item.context_expr, self.class_name, self.syntax.module
-            )
-            if lock is not None:
-                self.acquires.append((lock, node.lineno))
-                for outer in held:
-                    self.nested.append((outer, lock, node.lineno))
-                if lock not in held:
-                    held = (*held, lock)
-        for stmt in node.body:
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                self._walk_with(stmt, held)
-            else:
-                self._visit(stmt, held)
-                self.walk(stmt, held)
-
-    def _visit(self, child: ast.AST, locks: tuple[str, ...]) -> None:
-        if isinstance(child, ast.Call):
-            if _is_thread_ctor(child):
-                self.spawns_thread = True
-            resolved = self.syntax.resolve_call_expr(child.func, self.qualname)
-            if resolved is not None:
-                target, label = resolved
-                self.calls.append((target, label, child.lineno, locks))
-        elif isinstance(child, ast.Attribute):
-            self._visit_attribute(child, locks)
-        elif isinstance(child, ast.Assign):
-            self._visit_assign(child)
-        elif isinstance(child, ast.Return) and child.value is not None:
-            self._visit_return(child.value)
-
-    def _visit_attribute(
-        self, node: ast.Attribute, locks: tuple[str, ...]
-    ) -> None:
-        if self.class_name is None or self.is_dunder_init:
-            return
-        if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
-            return
-        if _lockish(node.attr):
-            return
-        if f"{self.class_name}.{node.attr}" in self.methods:
-            return  # a bound-method reference, not shared data
-        kind = "write" if isinstance(node.ctx, (ast.Store, ast.Del)) else "read"
-        self.accesses.append(
-            (node.attr, node.lineno, node.col_offset + 1, locks, kind)
-        )
-
-    def _visit_assign(self, node: ast.Assign) -> None:
-        kind = _lock_kind_of(node.value)
-        if kind is None:
-            return
-        for target in node.targets:
-            lock = canonical_lock(target, self.class_name, self.syntax.module)
-            if lock is not None:
-                self.lock_kinds.setdefault(lock, kind)
-
-    def _visit_return(self, value: ast.expr) -> None:
-        if self.returns_resource is not None:
-            return
-        if isinstance(value, ast.Call):
-            kind = _acquisition_kind_syntactic(value)
-            if kind is not None:
-                self.returns_resource = f"direct:{kind}"
-                return
-            resolved = self.syntax.resolve_call_expr(value.func, self.qualname)
-            if resolved is not None:
-                self.returns_resource = f"call:{resolved[0]}"
-
-
-def extract_concurrency(tree: ast.AST, syntax: FileSyntax) -> FileConcurrency:
-    """Phase-1 concurrency facts of one live-parsed file.
-
-    A pure function of the file's source text (like the v3 summaries),
-    which is what lets :mod:`repro.lint.project` cache the result under
-    the file's content digest.
-    """
-    out = FileConcurrency(path=syntax.path)
-    methods = frozenset(syntax.functions)
-    for node, qualname in sorted(
-        syntax.node_qualnames.items(), key=lambda kv: kv[1]
-    ):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        info = syntax.functions[qualname]
-        walker = _FunctionWalker(
-            syntax,
-            qualname,
-            info.class_name,
-            is_dunder_init=info.name in ("__init__", "__del__"),
-            methods=methods,
-        )
-        walker.walk(node, ())
-        out.functions[qualname] = FunctionConcurrency(
-            qualname=qualname,
-            acquires=tuple(walker.acquires),
-            nested=tuple(walker.nested),
-            calls=tuple(walker.calls),
-            accesses=tuple(walker.accesses),
-            spawns_thread=walker.spawns_thread,
-            returns_resource=walker.returns_resource,
-        )
-        out.lock_kinds.update(walker.lock_kinds)
-    # Module-level lock constructions (`_LOCK = threading.Lock()`).
-    if isinstance(tree, ast.Module):
-        for stmt in tree.body:
-            if isinstance(stmt, ast.Assign):
-                kind = _lock_kind_of(stmt.value)
-                if kind is None:
-                    continue
-                for target in stmt.targets:
-                    lock = canonical_lock(target, None, syntax.module)
-                    if lock is not None:
-                        out.lock_kinds.setdefault(lock, kind)
-    return out
-
-
 # -- the cross-file build ------------------------------------------------------
-
-
-def _digest(obj: Any) -> str:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _fid(path: str, qualname: str) -> str:
-    return f"{path}::{qualname}"
 
 
 def _is_private(name: str) -> bool:
@@ -475,11 +98,9 @@ class ConcurrencyContext:
     Attached to :class:`repro.lint.project.ProjectContext` as
     ``.concurrency``; the precomputed findings (``unguarded``,
     ``cycles``) are replayed by the R015/R017 rule bodies during normal
-    per-file dispatch so suppression, caching, and ``--disable`` all work
-    unchanged.
+    per-file dispatch so suppression and ``--disable`` work unchanged.
     """
 
-    files: dict[str, FileConcurrency] = field(default_factory=dict)
     #: Locks provably held at entry of every call site (must-analysis).
     entry_locks: dict[str, frozenset[str]] = field(default_factory=dict)
     #: path -> precomputed R015 findings: (line, col, message).
@@ -490,26 +111,18 @@ class ConcurrencyContext:
     cycles: dict[str, list[tuple[int, int, str]]] = field(default_factory=dict)
     #: fid -> resource kind for functions that return a fresh resource.
     resources: dict[str, str] = field(default_factory=dict)
-    digest: str = ""
-
-    def function_facts(self, fid: str) -> FunctionConcurrency | None:
-        path, qualname = split_function_id(fid)
-        conc = self.files.get(path)
-        if conc is None:
-            return None
-        return conc.functions.get(qualname)
 
 
 def _resolve_resources(
-    concs: Mapping[str, FileConcurrency],
+    files: Mapping[str, FileFacts],
     resolve: Callable[[str, str], str | None],
 ) -> dict[str, str]:
     """``fid -> resource kind`` with ``call:`` chains followed (memoized)."""
     raw: dict[str, str] = {}
-    for path, conc in concs.items():
-        for qualname, facts in conc.functions.items():
-            if facts.returns_resource is not None:
-                raw[_fid(path, qualname)] = facts.returns_resource
+    for path, facts in files.items():
+        for qualname, fn in facts.functions.items():
+            if fn.returns_resource is not None:
+                raw[function_id(path, qualname)] = fn.returns_resource
     resolved: dict[str, str | None] = {}
 
     def final(fid: str, seen: frozenset[str]) -> str | None:
@@ -537,7 +150,7 @@ def _resolve_resources(
 
 
 def _entry_lock_fixpoint(
-    concs: Mapping[str, FileConcurrency],
+    files: Mapping[str, FileFacts],
     resolve: Callable[[str, str], str | None],
     all_locks: frozenset[str],
 ) -> dict[str, frozenset[str]]:
@@ -550,11 +163,13 @@ def _entry_lock_fixpoint(
     """
     call_sites: dict[str, list[tuple[str, frozenset[str]]]] = {}
     names: dict[str, str] = {}
-    for path, conc in concs.items():
-        for qualname, facts in conc.functions.items():
-            caller = _fid(path, qualname)
-            names[caller] = qualname.rsplit(".", 1)[-1]
-            for target, _label, _line, locks in facts.calls:
+    for path, facts in files.items():
+        for qualname, fn in facts.functions.items():
+            caller = function_id(path, qualname)
+            names[caller] = fn.name
+            for target, _label, _line, locks in fn.calls:
+                if locks is None:
+                    continue
                 callee = resolve(path, target)
                 if callee is not None:
                     call_sites.setdefault(callee, []).append(
@@ -591,32 +206,29 @@ def _lock_display(lock: str) -> str:
 
 
 def _guarded_findings(
-    concs: Mapping[str, FileConcurrency],
+    files: Mapping[str, FileFacts],
     entry: Mapping[str, frozenset[str]],
 ) -> dict[str, list[tuple[int, int, str]]]:
     """Precomputed R015 findings per path."""
     out: dict[str, list[tuple[int, int, str]]] = {}
-    for path in sorted(concs):
-        conc = concs[path]
+    for path in sorted(files):
+        functions = files[path].functions
         # Group methods by class; only thread-spawning classes qualify.
         classes: dict[str, list[str]] = {}
-        for qualname in sorted(conc.functions):
+        for qualname in sorted(functions):
             if "." in qualname and "<locals>" not in qualname:
                 classes.setdefault(qualname.rsplit(".", 1)[0], []).append(
                     qualname
                 )
         for class_name in sorted(classes):
             members = classes[class_name]
-            if not any(
-                conc.functions[q].spawns_thread for q in members
-            ):
+            if not any(functions[q].spawns_thread for q in members):
                 continue
             # attr -> [(line, col, effective locks)]
             sites: dict[str, list[tuple[int, int, frozenset[str]]]] = {}
             for qualname in members:
-                facts = conc.functions[qualname]
-                inherited = entry.get(_fid(path, qualname), frozenset())
-                for attr, line, col, locks, _kind in facts.accesses:
+                inherited = entry.get(function_id(path, qualname), frozenset())
+                for attr, line, col, locks, _kind in functions[qualname].accesses:
                     sites.setdefault(attr, []).append(
                         (line, col, frozenset(locks) | inherited)
                     )
@@ -662,8 +274,8 @@ def _guarded_findings(
 
 
 def _lock_graph(
-    concs: Mapping[str, FileConcurrency],
-    summaries: Mapping[str, FunctionSummary],
+    files: Mapping[str, FileFacts],
+    functions: Mapping[str, FunctionFacts],
     entry: Mapping[str, frozenset[str]],
     resolve: Callable[[str, str], str | None],
 ) -> list[tuple[str, str, str, int, str]]:
@@ -675,16 +287,14 @@ def _lock_graph(
     effect closure, so the chain each edge quotes is deterministic).
     """
     # Pseudo-effect closure: "acq:<lock>" propagates like any effect.
-    seed: dict[str, dict[str, EffectOrigin]] = {
-        fid: {} for fid in summaries
-    }
+    seed: dict[str, dict[str, EffectOrigin]] = {fid: {} for fid in functions}
     edges_for_propagation: dict[str, list[tuple[str, str, int]]] = {}
-    for path in sorted(concs):
-        for qualname, facts in sorted(concs[path].functions.items()):
-            fid = _fid(path, qualname)
+    for path in sorted(files):
+        for qualname, fn in sorted(files[path].functions.items()):
+            fid = function_id(path, qualname)
             if fid not in seed:
                 continue
-            for lock, line in facts.acquires:
+            for lock, line in fn.acquires:
                 seed[fid].setdefault(
                     f"acq:{lock}",
                     EffectOrigin(
@@ -692,22 +302,24 @@ def _lock_graph(
                         f"`{lock}` acquired at {path}:{line}",
                     ),
                 )
-            for target, label, line, _locks in facts.calls:
+            for target, label, line, locks in fn.calls:
+                if locks is None:
+                    continue
                 callee = resolve(path, target)
-                if callee is not None and callee in summaries:
+                if callee is not None and callee in functions:
                     edges_for_propagation.setdefault(fid, []).append(
                         (callee, label, line)
                     )
     closure = propagate_effects(
-        summaries, edges_for_propagation, seed_effects=seed
+        functions, edges_for_propagation, seed_effects=seed
     )
 
     graph_edges: list[tuple[str, str, str, int, str]] = []
-    for path in sorted(concs):
-        for qualname, facts in sorted(concs[path].functions.items()):
-            fid = _fid(path, qualname)
+    for path in sorted(files):
+        for qualname, fn in sorted(files[path].functions.items()):
+            fid = function_id(path, qualname)
             inherited = entry.get(fid, frozenset())
-            for outer, inner, line in facts.nested:
+            for outer, inner, line in fn.nested:
                 graph_edges.append(
                     (
                         outer,
@@ -718,7 +330,7 @@ def _lock_graph(
                         f"holding `{outer}`",
                     )
                 )
-            for lock, line in facts.acquires:
+            for lock, line in fn.acquires:
                 for outer in sorted(inherited):
                     graph_edges.append(
                         (
@@ -730,7 +342,9 @@ def _lock_graph(
                             f"`{qualname}()` (entered holding `{outer}`)",
                         )
                     )
-            for target, label, line, locks in facts.calls:
+            for target, label, line, locks in fn.calls:
+                if locks is None:
+                    continue
                 held = frozenset(locks) | inherited
                 if not held:
                     continue
@@ -758,8 +372,6 @@ def _cycle_findings(
     lock_kinds: Mapping[str, str],
 ) -> dict[str, list[tuple[int, int, str]]]:
     """Precomputed R017 findings per path, one per cycle."""
-    from repro.lint.callgraph import tarjan_scc
-
     out: dict[str, list[tuple[int, int, str]]] = {}
 
     # Self-deadlock: re-acquiring a known non-reentrant lock.
@@ -817,83 +429,52 @@ def _cycle_findings(
 
 
 def build_concurrency(
-    concs: Mapping[str, FileConcurrency],
-    summaries: Mapping[str, FunctionSummary],
+    files: Mapping[str, FileFacts],
+    functions: Mapping[str, FunctionFacts],
     resolve: Callable[[str, str], str | None],
 ) -> ConcurrencyContext:
-    """Phase 4: cross-file lockset/lifecycle products from per-file facts.
+    """The cross-file lockset/lifecycle products from per-file facts.
 
     ``resolve(path, symbolic_target)`` maps a symbolic call target seen
-    from ``path`` to a project function id (the same resolution the v3
-    phases use). Pure graph math over cacheable facts — cached files
-    participate without re-parsing.
+    from ``path`` to a project function id (the same resolution the
+    effect closure uses).
     """
     lock_kinds: dict[str, str] = {}
     all_locks: set[str] = set()
-    for path in sorted(concs):
-        conc = concs[path]
-        for lock, kind in conc.lock_kinds.items():
+    for path in sorted(files):
+        facts = files[path]
+        for lock, kind in facts.lock_kinds.items():
             lock_kinds.setdefault(lock, kind)
-        all_locks.update(conc.lock_kinds)
-        for facts in conc.functions.values():
-            all_locks.update(lock for lock, _line in facts.acquires)
+        all_locks.update(facts.lock_kinds)
+        for fn in facts.functions.values():
+            all_locks.update(lock for lock, _line in fn.acquires)
 
-    entry = _entry_lock_fixpoint(concs, resolve, frozenset(all_locks))
-    unguarded = _guarded_findings(concs, entry)
-    edges = _lock_graph(concs, summaries, entry, resolve)
-    cycles = _cycle_findings(edges, lock_kinds)
-    resources = _resolve_resources(concs, resolve)
-
-    digest = _digest(
-        {
-            "entry": {fid: sorted(locks) for fid, locks in entry.items()},
-            "unguarded": {
-                path: [list(f) for f in findings]
-                for path, findings in unguarded.items()
-            },
-            "cycles": {
-                path: [list(f) for f in findings]
-                for path, findings in cycles.items()
-            },
-            "resources": resources,
-        }
-    )
+    entry = _entry_lock_fixpoint(files, resolve, frozenset(all_locks))
     return ConcurrencyContext(
-        files=dict(concs),
         entry_locks=entry,
-        unguarded=unguarded,
-        cycles=cycles,
-        resources=resources,
-        digest=digest,
+        unguarded=_guarded_findings(files, entry),
+        cycles=_cycle_findings(
+            _lock_graph(files, functions, entry, resolve), lock_kinds
+        ),
+        resources=_resolve_resources(files, resolve),
     )
 
 
 # -- dispatch-time helpers -----------------------------------------------------
 
 
-def _concurrency_of(ctx: FileContext) -> ConcurrencyContext | None:
-    project = ctx.project
-    if project is None:
-        return None
-    return getattr(project, "concurrency", None)
-
-
 def _enclosing_class_name(ctx: FileContext, node: ast.AST) -> str | None:
-    if ctx.syntax is None:
-        return None
     scope = ctx.scope_qualname(node)
     if scope is None:
         return None
-    info = ctx.syntax.functions.get(scope)
+    info = ctx.facts.functions.get(scope)
     return info.class_name if info is not None else None
 
 
 def _held_locks(node: ast.AST, ctx: FileContext) -> list[tuple[str, int]]:
     """Locks held at ``node`` by lexically enclosing ``with`` blocks."""
-    if ctx.syntax is None:
-        return []
     class_name = _enclosing_class_name(ctx, node)
-    module = ctx.syntax.module
+    module = ctx.facts.module
     held: list[tuple[str, int]] = []
     prev: ast.AST = node
     current = ctx.parent(node)
@@ -948,8 +529,6 @@ def blocking_under_lock(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
             "blocking call outside the lock or use a non-blocking form",
         )
         return
-    if ctx.project is None:
-        return
     resolved = ctx.resolve_call(node)
     if resolved is None:
         return
@@ -980,10 +559,7 @@ def blocking_under_lock(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
     nodes=(ast.Module,),
 )
 def guarded_by(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-    conc = _concurrency_of(ctx)
-    if conc is None:
-        return
-    for line, col, message in conc.unguarded.get(ctx.path, ()):
+    for line, col, message in ctx.project.concurrency.unguarded.get(ctx.path, ()):
         yield Finding(ctx.path, line, col, "R015", message)
 
 
@@ -998,10 +574,7 @@ def guarded_by(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
     nodes=(ast.Module,),
 )
 def lock_order(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-    conc = _concurrency_of(ctx)
-    if conc is None:
-        return
-    for line, col, message in conc.cycles.get(ctx.path, ()):
+    for line, col, message in ctx.project.concurrency.cycles.get(ctx.path, ()):
         yield Finding(ctx.path, line, col, "R017", message)
 
 
@@ -1013,26 +586,29 @@ _RELEASES = frozenset({"close", "terminate", "shutdown", "kill", "release"})
 
 def _acquisition_kind(call: ast.Call, ctx: FileContext) -> str | None:
     """Resource kind a call acquires — syntactic or via resolved summary."""
-    kind = _acquisition_kind_syntactic(call)
+    kind = acquisition_kind_syntactic(call)
     if kind is not None:
         return kind
-    conc = _concurrency_of(ctx)
-    if conc is None:
-        return None
     resolved = ctx.resolve_call(call)
     if resolved is None:
         return None
-    return conc.resources.get(resolved[0])
+    return ctx.project.concurrency.resources.get(resolved[0])
 
 
 def _own_statements(node: ast.AST) -> Iterator[ast.stmt]:
-    """Statements of a function body, excluding nested function bodies."""
+    """Statements of a function body, excluding nested function bodies.
+
+    Expressions hold no statements, so only statements, except handlers
+    and match cases are descended into.
+    """
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if isinstance(child, ast.stmt):
             yield child
-        yield from _own_statements(child)
+            yield from _own_statements(child)
+        elif isinstance(child, (ast.excepthandler, ast.match_case)):
+            yield from _own_statements(child)
 
 
 def _own_nodes(node: ast.AST) -> Iterator[ast.AST]:
@@ -1545,7 +1121,7 @@ def _attr_elements_joined(scope: ast.AST, attr: str) -> bool:
 )
 def thread_discipline(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
     assert isinstance(node, ast.Call)
-    if _is_thread_ctor(node):
+    if is_thread_ctor(node):
         yield from _thread_ctor_findings(node, ctx)
         return
     func = node.func

@@ -71,9 +71,13 @@ def _noqa_comments(source: str) -> list[tuple[int, int, frozenset[str], str]]:
 
     Tokenized, not regexed over raw lines, so the string ``"# repro: noqa"``
     inside a docstring or help text neither suppresses findings nor shows
-    up as an unused suppression.
+    up as an unused suppression. Most files carry no such comment at all,
+    so a source without either keyword is not tokenized.
     """
     out: list[tuple[int, int, frozenset[str], str]] = []
+    lowered = source.lower()
+    if "noqa" not in lowered and "guarded-by" not in lowered:
+        return out
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):
@@ -166,7 +170,11 @@ class Suppressions:
                 self.by_comment[lineno] = existing | ids
             self._cols.setdefault(lineno, col)
             self._labels.setdefault(lineno, label)
-        spans = _statement_spans(tree) if tree is not None else []
+        spans = (
+            _statement_spans(tree)
+            if tree is not None and self.by_comment
+            else []
+        )
         self._covering: dict[int, list[int]] = {}
         for comment_line in self.by_comment:
             covered = {comment_line}
@@ -264,9 +272,9 @@ def lint_source(
     ``report_unused_noqa`` adds R900 findings for suppression comments
     that matched nothing.
 
-    Since v3 this runs the full interprocedural pipeline on a
-    single-file project, so call-depth fixtures written in one file
-    exercise the same machinery as a repo-wide pass.
+    This runs the full interprocedural pipeline on a single-file
+    project, so call-depth fixtures written in one file exercise the
+    same machinery as a repo-wide pass.
     """
     from repro.lint.project import lint_project
 
@@ -337,14 +345,11 @@ def lint_paths(
     *,
     rules: Sequence[Rule] | None = None,
     report_unused_noqa: bool = False,
-    store: object | None = None,
 ) -> list[Finding]:
     """Lint files and/or directory trees; the ``iris lint`` workhorse.
 
     All files are analyzed as **one project**: the interprocedural phase
-    sees every call edge between them. ``store`` (a
-    :class:`repro.store.cas.PlanStore` or anything with its get/put) turns
-    on the incremental cache — see :mod:`repro.lint.project`.
+    sees every call edge between them.
 
     Raises :class:`LintUsageError` when a path does not exist or no Python
     files are found at all — an empty pass is a misconfigured gate, not a
@@ -368,7 +373,6 @@ def lint_paths(
             sources,
             rules=rules,
             report_unused_noqa=report_unused_noqa,
-            store=store,  # type: ignore[arg-type]
         )
     )
     return sorted(findings)

@@ -101,8 +101,7 @@ def fix_sources(
     """Fix every fixable finding in ``sources`` to a fixpoint.
 
     The whole set is linted as one project each round (fixes can depend
-    on interprocedural facts), always store-less: cached findings carry
-    no edits, and the fixer must see the text it is about to rewrite.
+    on interprocedural facts).
     """
     from repro.lint.project import lint_project
 

@@ -1,104 +1,65 @@
-"""repro.lint.project — the v3 three-phase project pipeline.
+"""repro.lint.project — the three-phase project pipeline.
 
-The v2 driver linted one file at a time in two passes. v3 lints a
-*project* in three phases:
+Every lint invocation analyzes its files as one *project* in three
+phases:
 
-**Phase 1 — per-file local analysis** (cacheable). Each file is parsed
-once and reduced to facts derivable from its source text alone: its
-call-graph syntax (:mod:`repro.lint.callgraph`), its per-function effect
-and return summaries (:mod:`repro.lint.summaries`, with project calls
-recorded *symbolically*), and the set of project symbols it references.
-Because nothing here depends on any other file, the result is a pure
-function of ``(path, source bytes, rule-set version)`` — the key it is
-cached under in :class:`repro.store.cas.PlanStore` (kind ``lint/file``).
+**Phase 1 — per-file facts.** Each file is parsed once and reduced to a
+:class:`repro.lint.summaries.FileFacts` derivable from its source text
+alone: its functions, imports and scopes, and per function the call
+sites, direct effects, return summary and locksets, with project calls
+recorded *symbolically*.
 
 **Phase 2 — project-wide propagation.** The module index resolves every
-symbolic call target to a concrete project function, effects close
-transitively over the call graph bottom-up by SCC, and symbolic return
-references resolve to concrete unit/orderedness facts. This phase is
-pure graph math over phase-1 facts: cached files participate fully
-without being re-parsed.
+symbolic call target to a concrete project function, symbolic return
+references resolve to concrete unit/orderedness facts, effects close
+transitively over the call graph bottom-up by SCC, and the concurrency
+phase (:mod:`repro.lint.concurrency`) builds entry locksets, the lock
+graph and resource returns.
 
 **Phase 3 — per-file rule dispatch.** Each file's rules run with a
 *concrete* call resolver installed in the flow pass (a call to a project
 function now carries its resolved return summary) and the
-:class:`ProjectContext` available for the call-site and pool-safety
-rules. Findings are cached (kind ``lint/findings``) keyed by the file's
-own digest **plus the summary digests of every project function its
-calls and references can reach** — the call-graph-aware invalidation
-that makes a warm full-repo lint near-instant while an edit to a leaf
-helper still re-lints exactly the files whose findings could change.
+:class:`ProjectContext` available for the call-site, pool-safety and
+concurrency rules.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from repro.lint.callgraph import (
-    FileSyntax,
-    LocalFunction,
     ModuleIndex,
-    analyze_syntax,
     function_id,
     resolve_target,
     split_function_id,
 )
-from repro.lint.concurrency import (
-    ConcurrencyContext,
-    FileConcurrency,
-    build_concurrency,
-    extract_concurrency,
-)
-from repro.lint.findings import Finding, TextEdit
+from repro.lint.concurrency import ConcurrencyContext, build_concurrency
+from repro.lint.driver import Suppressions
+from repro.lint.findings import Finding
 from repro.lint.flow import (
     AbstractValue,
     CallResolver,
-    FlowInfo,
     Orderedness,
     analyze_flow,
-    unit_suffix,
 )
 from repro.lint.registry import FileContext, Rule, all_rules, get_rule
 from repro.lint.summaries import (
+    Blessing,
     EffectOrigin,
-    FunctionSummary,
-    extract_summaries,
+    FileFacts,
+    FunctionFacts,
+    analyze_file,
     propagate_effects,
     resolve_returns,
-    summary_digest,
 )
 
 __all__ = [
-    "RULESET_VERSION",
     "ProjectContext",
     "lint_project",
 ]
-
-#: Bumped whenever rules, summaries, or the cache envelope change shape:
-#: part of every cache key, so stale schema entries degrade to misses.
-#: v4: concurrency facts join the phase-1 payload and R015–R019 the rule
-#: set, so v3-cached entries must degrade to misses rather than replay
-#: findings that predate the thread-safety phase.
-RULESET_VERSION = 4
-
-
-class _Store(Protocol):
-    """The slice of :class:`repro.store.cas.PlanStore` the cache uses."""
-
-    def get(self, key: str) -> dict[str, Any] | None: ...
-
-    def put(self, key: str, payload: dict[str, Any], kind: str = ...) -> str: ...
-
-
-def _digest(obj: Any) -> str:
-    """Deterministic sha256 of a JSON-shaped object."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # -- project context (what rules see) -----------------------------------------
@@ -106,36 +67,29 @@ def _digest(obj: Any) -> str:
 
 @dataclass
 class ProjectContext:
-    """Phase-2 product: resolved summaries + transitive effects."""
+    """Phase-2 product: resolved function facts + transitive effects."""
 
-    syntaxes: dict[str, FileSyntax]
+    files: dict[str, FileFacts]
     index: ModuleIndex
-    #: Final (return-resolved) summary per project function id.
-    summaries: dict[str, FunctionSummary] = field(default_factory=dict)
+    #: Return-resolved facts per project function id.
+    functions: dict[str, FunctionFacts]
     #: Transitive effect closure per project function id.
-    effects: dict[str, dict[str, EffectOrigin]] = field(default_factory=dict)
-    #: Phase-4 lockset/lifecycle products (v4; see repro.lint.concurrency).
-    concurrency: ConcurrencyContext | None = None
+    effects: dict[str, dict[str, EffectOrigin]]
+    #: Lockset/lifecycle products (see repro.lint.concurrency).
+    concurrency: ConcurrencyContext
 
-    def resolve_symbolic(self, syntax: FileSyntax, target: str) -> str | None:
+    def resolve_symbolic(self, facts: FileFacts, target: str) -> str | None:
         """Resolve a symbolic ``local:``/``import:`` target to a function id."""
-        return resolve_target(target, syntax, self.index, self.syntaxes)
+        return resolve_target(target, facts, self.index, self.files)
 
-    def summary_of(self, fid: str) -> FunctionSummary | None:
-        return self.summaries.get(fid)
+    def function(self, fid: str) -> FunctionFacts | None:
+        return self.functions.get(fid)
 
     def effects_of(self, fid: str) -> Mapping[str, EffectOrigin]:
         return self.effects.get(fid, {})
 
-    def function(self, fid: str) -> LocalFunction | None:
-        path, qualname = split_function_id(fid)
-        syntax = self.syntaxes.get(path)
-        if syntax is None:
-            return None
-        return syntax.functions.get(qualname)
 
-
-# -- phase 1: per-file local analysis ------------------------------------------
+# -- phase 1: per-file facts ----------------------------------------------------
 
 
 @dataclass
@@ -145,87 +99,18 @@ class _FileState:
     path: str
     module_path: str
     source: str
-    source_sha: str
     tree: ast.AST | None = None
-    syntax: FileSyntax | None = None
-    live: bool = False  # syntax carries AST node maps (freshly parsed)
-    summaries: dict[str, FunctionSummary] = field(default_factory=dict)
-    concurrency: FileConcurrency | None = None
-    refs: tuple[str, ...] = ()
-    r000: list[Finding] = field(default_factory=list)
-    suppressions: Any = None
-    findings: list[Finding] | None = None
+    facts: FileFacts | None = None
+    r000: Finding | None = None
+    suppressions: Suppressions | None = None
 
 
-class _RefCollector(ast.NodeVisitor):
-    """Symbolic targets of every project-symbol *reference* in a file.
-
-    Call sites alone under-approximate what can influence findings: a
-    function handed to ``backend.run_chunks`` by name is never called in
-    this file, yet its effects decide the pool-safety rules here. Every
-    resolvable ``Name``/dotted ``Attribute`` reference therefore joins
-    the file's dependency cone for cache invalidation.
-    """
-
-    def __init__(self, syntax: FileSyntax) -> None:
-        self.syntax = syntax
-        self.refs: set[str] = set()
-        self._scope: list[str] = []
-
-    def _visit_function(self, node: ast.AST) -> None:
-        qualname = self.syntax.node_qualnames.get(node)
-        self._scope.append(qualname if qualname is not None else "")
-        self.generic_visit(node)
-        self._scope.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def _current_scope(self) -> str | None:
-        for entry in reversed(self._scope):
-            if entry:
-                return entry
-        return None
-
-    def visit_Name(self, node: ast.Name) -> None:
-        target = self.syntax.resolve_name(node.id, self._current_scope())
-        if target is not None:
-            self.refs.add(target)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        resolved = self.syntax.resolve_call_expr(node, self._current_scope())
-        if resolved is not None:
-            self.refs.add(resolved[0])
-            return  # the chain is consumed; no references hide inside it
-        self.generic_visit(node)
-
-
-def _symbolic_resolver(syntax: FileSyntax) -> CallResolver:
-    """Phase-1 resolver: claim project calls with a symbolic ``call_ref``."""
-
-    def resolver(scope_node: ast.AST, call: ast.Call) -> AbstractValue | None:
-        scope = syntax.node_qualnames.get(scope_node)
-        resolved = syntax.resolve_call_expr(call.func, scope)
-        if resolved is None:
-            return None
-        target, label = resolved
-        return AbstractValue(
-            unit=unit_suffix(label.rsplit(".", 1)[-1]),
-            ordered=Orderedness.UNKNOWN,
-            origin=f"via `{label}()` at line {call.lineno}",
-            origin_line=None,
-            call_ref=target,
-        )
-
-    return resolver
-
-
-def _blessing(suppressions: Any, module_path: str):
+def _blessing(suppressions: Suppressions, module_path: str) -> Blessing:
     """Effect-blessing predicate: noqa'd or rule-exempt origins don't
     propagate — the file owns that effect."""
 
     def is_blessed(rule_id: str, line: int) -> bool:
-        if suppressions is not None and suppressions.covers(rule_id, line):
+        if suppressions.covers(rule_id, line):
             return True
         try:
             exempt = get_rule(rule_id).exempt
@@ -236,147 +121,64 @@ def _blessing(suppressions: Any, module_path: str):
     return is_blessed
 
 
-def _file_key(path: str, source_sha: str) -> str:
-    return _digest(
-        {
-            "kind": "lint/file",
-            "ruleset": RULESET_VERSION,
-            "path": path,
-            "source_sha": source_sha,
-        }
-    )
-
-
 def _parse_file(state: _FileState) -> None:
-    """Live-parse one file into its phase-1 facts (no cache involved)."""
-    from repro.lint.driver import Suppressions
-
+    """Parse one file into its phase-1 facts (or its R000 finding)."""
     try:
         state.tree = ast.parse(state.source, filename=state.path)
     except SyntaxError as exc:
-        state.r000 = [
-            Finding(
-                state.path,
-                exc.lineno or 1,
-                (exc.offset or 0) or 1,
-                "R000",
-                f"syntax error: {exc.msg}",
-            )
-        ]
-        state.syntax = FileSyntax(path=state.path, module="")
-        state.live = True
+        state.r000 = Finding(
+            state.path,
+            exc.lineno or 1,
+            (exc.offset or 0) or 1,
+            "R000",
+            f"syntax error: {exc.msg}",
+        )
+        state.facts = FileFacts(path=state.path, module="")
         return
-    state.syntax = analyze_syntax(state.tree, state.path)
-    state.live = True
     state.suppressions = Suppressions(state.source, state.tree)
-    flow = analyze_flow(state.tree, _symbolic_resolver(state.syntax))
-    state.summaries = extract_summaries(
+    state.facts = analyze_file(
         state.tree,
-        state.syntax,
-        flow,
-        path=state.module_path,
+        state.path,
         is_blessed=_blessing(state.suppressions, state.module_path),
     )
-    state.concurrency = extract_concurrency(state.tree, state.syntax)
-    collector = _RefCollector(state.syntax)
-    collector.visit(state.tree)
-    state.refs = tuple(sorted(collector.refs))
-
-
-def _phase1(state: _FileState, store: _Store | None) -> None:
-    """Populate one file's local facts, through the store when possible."""
-    key = _file_key(state.path, state.source_sha) if store is not None else ""
-    if store is not None:
-        payload = store.get(key)
-        if payload is not None:
-            state.syntax = (
-                FileSyntax.from_dict(payload["syntax"])
-                if payload.get("syntax") is not None
-                else FileSyntax(path=state.path, module="")
-            )
-            state.summaries = {
-                q: FunctionSummary.from_dict(s)
-                for q, s in payload.get("summaries", {}).items()
-            }
-            state.concurrency = (
-                FileConcurrency.from_dict(payload["concurrency"])
-                if payload.get("concurrency") is not None
-                else None
-            )
-            state.refs = tuple(payload.get("refs", ()))
-            state.r000 = [
-                Finding(d["path"], d["line"], d["col"], d["rule"], d["message"])
-                for d in payload.get("r000", ())
-            ]
-            return
-    _parse_file(state)
-    if store is not None:
-        store.put(
-            key,
-            {
-                "syntax": state.syntax.to_dict()
-                if state.syntax is not None and not state.r000
-                else None,
-                "summaries": {
-                    q: s.to_dict() for q, s in sorted(state.summaries.items())
-                },
-                "concurrency": state.concurrency.to_dict()
-                if state.concurrency is not None
-                else None,
-                "refs": list(state.refs),
-                "r000": [f.to_dict() for f in state.r000],
-            },
-            kind="lint/file",
-        )
 
 
 # -- phase 2: project-wide propagation -----------------------------------------
 
 
-def _build_project(states: Sequence[_FileState]) -> tuple[
-    ProjectContext,
-    dict[str, list[str]],  # adjacency for dependency cones
-]:
-    syntaxes = {s.path: s.syntax for s in states if s.syntax is not None}
-    index = ModuleIndex(syntaxes.values())
+def _build_project(states: Sequence[_FileState]) -> ProjectContext:
+    files = {s.path: s.facts for s in states if s.facts is not None}
+    index = ModuleIndex(files.values())
 
-    local: dict[str, FunctionSummary] = {}
-    for state in states:
-        for qualname, summary in state.summaries.items():
-            local[function_id(state.path, qualname)] = summary
+    def resolve(path: str, target: str) -> str | None:
+        return resolve_target(target, files[path], index, files)
 
+    local: dict[str, FunctionFacts] = {
+        function_id(path, qualname): fn
+        for path, facts in files.items()
+        for qualname, fn in facts.functions.items()
+    }
     # Resolved call edges: caller fid -> [(callee fid, label, line)].
     edges: dict[str, list[tuple[str, str, int]]] = {}
-    for state in states:
-        syntax = state.syntax
-        if syntax is None:
-            continue
-        for site in syntax.calls:
-            callee = resolve_target(site.target, syntax, index, syntaxes)
-            if callee is None or callee not in local or site.caller is None:
-                continue
-            caller_fid = function_id(state.path, site.caller)
-            if caller_fid in local:
-                edges.setdefault(caller_fid, []).append(
-                    (callee, site.label, site.lineno)
-                )
+    for caller, fn in local.items():
+        path, _ = split_function_id(caller)
+        for target, label, line, _held in fn.calls:
+            callee = resolve(path, target)
+            if callee is not None and callee in local:
+                edges.setdefault(caller, []).append((callee, label, line))
 
     def return_resolver(fid: str, target: str) -> str | None:
-        path, _ = split_function_id(fid)
-        syntax = syntaxes.get(path)
-        if syntax is None:
-            return None
-        return resolve_target(target, syntax, index, syntaxes)
+        return resolve(split_function_id(fid)[0], target)
 
     final = resolve_returns(local, return_resolver)
 
     # Iterations over project-call results become unordered_iter effects
     # once the callee's *resolved* return summary says unordered.
     seed: dict[str, dict[str, EffectOrigin]] = {
-        fid: dict(summary.effects) for fid, summary in final.items()
+        fid: dict(fn.effects) for fid, fn in final.items()
     }
-    for fid, summary in sorted(final.items()):
-        for target, origin_text, line in summary.iterated_calls:
+    for fid, fn in sorted(final.items()):
+        for target, origin_text, line in fn.iterated_calls:
             if "unordered_iter" in seed[fid]:
                 break
             callee = return_resolver(fid, target)
@@ -390,54 +192,33 @@ def _build_project(states: Sequence[_FileState]) -> tuple[
                 origin = f"{origin} → {callee_final.return_origin}"
             seed[fid]["unordered_iter"] = EffectOrigin("unordered_iter", origin)
 
-    effects = propagate_effects(final, edges, seed_effects=seed)
-
-    # Phase 4: the lockset/lifecycle products over cached per-file facts.
-    concs = {
-        s.path: s.concurrency for s in states if s.concurrency is not None
-    }
-
     def conc_resolver(path: str, target: str) -> str | None:
-        syntax = syntaxes.get(path)
-        if syntax is None:
-            return None
-        fid = resolve_target(target, syntax, index, syntaxes)
+        fid = resolve(path, target)
         return fid if fid is not None and fid in final else None
 
-    concurrency = build_concurrency(concs, final, conc_resolver)
-
-    project = ProjectContext(
-        syntaxes=syntaxes,
+    return ProjectContext(
+        files=files,
         index=index,
-        summaries=final,
-        effects=effects,
-        concurrency=concurrency,
+        functions=final,
+        effects=propagate_effects(final, edges, seed_effects=seed),
+        concurrency=build_concurrency(files, final, conc_resolver),
     )
-    adjacency = {
-        fid: sorted({callee for callee, _l, _n in callees})
-        for fid, callees in edges.items()
-    }
-    return project, adjacency
 
 
 # -- phase 3: per-file rule dispatch -------------------------------------------
 
 
-def _concrete_resolver(
-    syntax: FileSyntax, project: ProjectContext
-) -> CallResolver:
+def _concrete_resolver(facts: FileFacts, project: ProjectContext) -> CallResolver:
     """Phase-3 resolver: project calls return their resolved summaries."""
 
     def resolver(scope_node: ast.AST, call: ast.Call) -> AbstractValue | None:
-        scope = syntax.node_qualnames.get(scope_node)
-        resolved = syntax.resolve_call_expr(call.func, scope)
+        scope = facts.node_qualnames.get(scope_node)
+        resolved = facts.resolve_call_expr(call.func, scope)
         if resolved is None:
             return None
         target, label = resolved
-        fid = project.resolve_symbolic(syntax, target)
-        if fid is None:
-            return None
-        final = project.summaries.get(fid)
+        fid = project.resolve_symbolic(facts, target)
+        final = project.function(fid) if fid is not None else None
         if final is None:
             return None
         ordered = Orderedness(final.return_ordered)
@@ -451,160 +232,32 @@ def _concrete_resolver(
     return resolver
 
 
-def _parent_map(tree: ast.AST) -> dict[ast.AST, ast.AST]:
-    return {
-        child: parent
-        for parent in ast.walk(tree)
-        for child in ast.iter_child_nodes(parent)
-    }
-
-
-def _influence_digests(project: ProjectContext) -> dict[str, str]:
-    """Per-function digest of everything callers may observe."""
-    out: dict[str, str] = {}
-    for fid in project.summaries:
-        effects = project.effects.get(fid, {})
-        out[fid] = _digest(
-            {
-                "summary": project.summaries[fid].to_dict(),
-                "effects": {
-                    eff: origin.to_dict()
-                    for eff, origin in sorted(effects.items())
-                },
-            }
-        )
-    return out
-
-
-def _dependency_cone(
-    seeds: Iterable[str], adjacency: Mapping[str, Sequence[str]]
-) -> list[str]:
-    """Transitive closure of callees reachable from ``seeds``."""
-    seen: set[str] = set()
-    stack = sorted(set(seeds))
-    while stack:
-        fid = stack.pop()
-        if fid in seen:
-            continue
-        seen.add(fid)
-        stack.extend(c for c in adjacency.get(fid, ()) if c not in seen)
-    return sorted(seen)
-
-
-def _findings_key(
-    state: _FileState,
-    rule_ids: Sequence[str],
-    report_unused_noqa: bool,
-    deps: Mapping[str, str],
-    conc_digest: str,
-) -> str:
-    return _digest(
-        {
-            "kind": "lint/findings",
-            "ruleset": RULESET_VERSION,
-            "path": state.path,
-            "source_sha": state.source_sha,
-            "rules": list(rule_ids),
-            "unused_noqa": report_unused_noqa,
-            "deps": dict(deps),
-            "concurrency": conc_digest,
-        }
-    )
-
-
-def _conc_file_digest(
-    state: _FileState,
-    project: ProjectContext,
-    cone: Mapping[str, str],
-) -> str:
-    """Digest of every phase-4 product that can alter this file's findings.
-
-    Scoped like the summary cone, not global: a file's R015/R017 findings
-    replay from the precomputed per-path slices, its entry locksets come
-    from call sites anywhere in the project, and its R018 acquisitions
-    consult the resource kinds of functions it can reach. Unrelated
-    concurrency changes elsewhere leave this digest — and the cached
-    findings — untouched, preserving the scoped-relint property the bench
-    gate asserts.
-    """
-    conc = project.concurrency
-    if conc is None:
-        return ""
-    entry = {
-        fid: sorted(locks)
-        for fid, locks in conc.entry_locks.items()
-        if split_function_id(fid)[0] == state.path
-    }
-    resources = {
-        fid: conc.resources[fid] for fid in cone if fid in conc.resources
-    }
-    return _digest(
-        {
-            "entry": entry,
-            "unguarded": [
-                list(f) for f in conc.unguarded.get(state.path, ())
-            ],
-            "cycles": [list(f) for f in conc.cycles.get(state.path, ())],
-            "resources": resources,
-        }
-    )
-
-
-def _file_cone_deps(
-    state: _FileState,
-    project: ProjectContext,
-    adjacency: Mapping[str, Sequence[str]],
-    influence: Mapping[str, str],
-) -> dict[str, str]:
-    """Influence digests of every project function this file can observe."""
-    syntax = state.syntax
-    if syntax is None:
-        return {}
-    seeds: set[str] = set()
-    for site in syntax.calls:
-        fid = project.resolve_symbolic(syntax, site.target)
-        if fid is not None:
-            seeds.add(fid)
-    for target in state.refs:
-        fid = project.resolve_symbolic(syntax, target)
-        if fid is not None:
-            seeds.add(fid)
-    # The file's own functions influence nothing here: their facts are
-    # already covered by the file's source digest.
-    cone = [
-        fid
-        for fid in _dependency_cone(seeds, adjacency)
-        if split_function_id(fid)[0] != state.path and fid in influence
-    ]
-    return {fid: influence[fid] for fid in cone}
-
-
 def _dispatch_rules(
     state: _FileState,
     project: ProjectContext,
     selected: Sequence[Rule],
     report_unused_noqa: bool,
 ) -> list[Finding]:
-    """Run phase 3 live on one file (requires a parsed tree)."""
-    from repro.lint.driver import Suppressions
-
-    if state.tree is None:  # cached file whose findings missed: re-parse
-        _parse_file(state)
-    if state.r000:
-        return list(state.r000)
-    assert state.tree is not None and state.syntax is not None
-    if state.suppressions is None:
-        state.suppressions = Suppressions(state.source, state.tree)
-
+    """Run phase 3 on one parsed file."""
+    tree, facts, suppressions = state.tree, state.facts, state.suppressions
+    assert tree is not None and facts is not None and suppressions is not None
+    # One breadth-first pass (ast.walk's order) yields both the dispatch
+    # order and the parent map.
+    nodes: list[ast.AST] = [tree]
+    parents: dict[ast.AST, ast.AST] = {}
+    for parent in nodes:
+        for child in ast.iter_child_nodes(parent):
+            parents[child] = parent
+            nodes.append(child)
     ctx = FileContext(
         path=state.path,
         module_path=state.module_path,
         source=state.source,
-        syntax=state.syntax,
+        facts=facts,
         project=project,
+        parents=parents,
+        flow=analyze_flow(tree, _concrete_resolver(facts, project)),
     )
-    ctx.parents = _parent_map(state.tree)
-    ctx.flow = analyze_flow(state.tree, _concrete_resolver(state.syntax, project))
 
     dispatch: dict[type, list[Rule]] = {}
     for selected_rule in selected:
@@ -614,13 +267,13 @@ def _dispatch_rules(
             dispatch.setdefault(node_type, []).append(selected_rule)
 
     found: list[Finding] = []
-    for node in ast.walk(state.tree):
+    for node in nodes:
         for active_rule in dispatch.get(type(node), ()):
             found.extend(active_rule.check(node, ctx))
 
-    kept = [f for f in found if not state.suppressions.suppresses(f)]
+    kept = [f for f in found if not suppressions.suppresses(f)]
     if report_unused_noqa:
-        kept.extend(state.suppressions.unused_findings(state.path))
+        kept.extend(suppressions.unused_findings(state.path))
     return sorted(kept)
 
 
@@ -632,87 +285,36 @@ def lint_project(
     *,
     rules: Sequence[Rule] | None = None,
     report_unused_noqa: bool = False,
-    store: _Store | None = None,
 ) -> list[Finding]:
     """Lint a set of ``(path, source)`` files as one project.
 
-    This is the v3 engine behind :func:`repro.lint.driver.lint_paths` and
-    :func:`~repro.lint.driver.lint_source`. With ``store`` given, phase-1
-    facts and phase-3 findings are cached per file (kinds ``lint/file``
-    and ``lint/findings``); a warm run with no source changes performs no
-    parsing at all and returns findings identical to a cold run, autofix
-    edits included (the fixer itself still always runs store-less, since
-    it must see the text it rewrites).
+    This is the engine behind :func:`repro.lint.driver.lint_paths` and
+    :func:`~repro.lint.driver.lint_source`. Importing the driver (which
+    imports :mod:`repro.lint.rules`) has registered every rule.
     """
-    # Rule registrations live in repro.lint.rules; importing the driver
-    # (which imports it) guarantees they happened even on direct calls.
-    from repro.lint import rules as _rules  # noqa: F401
-
-    states = [
-        _FileState(
-            path=str(path),
-            module_path=Path(str(path)).as_posix(),
-            source=source,
-            source_sha=hashlib.sha256(source.encode("utf-8")).hexdigest(),
-        )
-        for path, source in sources
-    ]
-    states.sort(key=lambda s: s.path)
-
+    states = sorted(
+        (
+            _FileState(
+                path=str(path),
+                module_path=Path(str(path)).as_posix(),
+                source=source,
+            )
+            for path, source in sources
+        ),
+        key=lambda s: s.path,
+    )
     for state in states:  # phase 1
-        _phase1(state, store)
+        _parse_file(state)
 
-    project, adjacency = _build_project(states)  # phase 2
+    project = _build_project(states)  # phase 2
 
     selected = all_rules() if rules is None else tuple(rules)
-    rule_ids = sorted({r.rule_id for r in selected})
-    influence = _influence_digests(project)
-
     findings: list[Finding] = []
     for state in states:  # phase 3
-        if state.r000:
-            findings.extend(state.r000)
-            continue
-        key = ""
-        if store is not None:
-            deps = _file_cone_deps(state, project, adjacency, influence)
-            key = _findings_key(
-                state,
-                rule_ids,
-                report_unused_noqa,
-                deps,
-                _conc_file_digest(state, project, deps),
-            )
-            payload = store.get(key)
-            if payload is not None:
-                findings.extend(
-                    Finding(
-                        d["path"],
-                        d["line"],
-                        d["col"],
-                        d["rule"],
-                        d["message"],
-                        fix=TextEdit(*d["fix"]) if d.get("fix") else None,
-                    )
-                    for d in payload.get("findings", ())
-                )
-                continue
-        file_findings = _dispatch_rules(state, project, selected, report_unused_noqa)
-        findings.extend(file_findings)
-        if store is not None:
-            store.put(
-                key,
-                {
-                    "findings": [
-                        {
-                            **f.to_dict(),
-                            "fix": [f.fix.start, f.fix.end, f.fix.text]
-                            if f.fix is not None
-                            else None,
-                        }
-                        for f in file_findings
-                    ]
-                },
-                kind="lint/findings",
+        if state.r000 is not None:
+            findings.append(state.r000)
+        else:
+            findings.extend(
+                _dispatch_rules(state, project, selected, report_unused_noqa)
             )
     return sorted(findings)

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.lint.findings import Finding, TextEdit
-from repro.lint.flow import UNKNOWN_VALUE, AbstractValue, FlowInfo
+from repro.lint.flow import AbstractValue, FlowInfo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.lint.callgraph import FileSyntax
     from repro.lint.project import ProjectContext
+    from repro.lint.summaries import FileFacts
 
 #: A rule body: yields findings for one dispatched node.
 CheckFn = Callable[[ast.AST, "FileContext"], Iterator[Finding]]
@@ -37,14 +37,14 @@ class FileContext:
     module_path: str
     #: Raw source text of the file.
     source: str
+    #: This file's functions, imports and scopes.
+    facts: "FileFacts"
+    #: Whole-project resolved facts, effects and concurrency products.
+    project: "ProjectContext"
     #: Child node -> parent node, for rules that need enclosing context.
-    parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
-    #: Flow facts from the driver's pass 1 (:mod:`repro.lint.flow`).
-    flow: FlowInfo | None = None
-    #: This file's call-graph syntax (v3; live-parsed instance).
-    syntax: "FileSyntax | None" = None
-    #: Whole-project summaries/effects (v3; None in per-file-only runs).
-    project: "ProjectContext | None" = None
+    parents: dict[ast.AST, ast.AST]
+    #: Flow facts with project calls resolved (:mod:`repro.lint.flow`).
+    flow: FlowInfo
     #: Lazy char-offset table for building :class:`TextEdit` fixes.
     _line_starts: list[int] | None = field(default=None, repr=False)
 
@@ -67,14 +67,10 @@ class FileContext:
 
     def value_of(self, node: ast.AST) -> AbstractValue:
         """The flow-inferred abstract value of an expression."""
-        if self.flow is None:
-            return UNKNOWN_VALUE
         return self.flow.value_of(node)
 
     def returns_of(self, func: ast.AST) -> tuple[tuple[ast.Return, AbstractValue], ...]:
         """Flow-collected ``return`` statements of a function scope."""
-        if self.flow is None:
-            return ()
         return self.flow.returns_of(func)
 
     def is_exempt(self, fragments: Iterable[str]) -> bool:
@@ -86,14 +82,11 @@ class FileContext:
     def scope_qualname(self, node: ast.AST) -> str | None:
         """Qualname of the function scope enclosing ``node`` (None = module).
 
-        Climbs the parent map to the nearest enclosing function def known
-        to the file's call-graph syntax.
+        Climbs the parent map to the nearest enclosing function def.
         """
-        if self.syntax is None:
-            return None
         current: ast.AST | None = node
         while current is not None:
-            qualname = self.syntax.node_qualnames.get(current)
+            qualname = self.facts.node_qualnames.get(current)
             if qualname is not None and current is not node:
                 return qualname
             current = self.parents.get(current)
@@ -101,14 +94,12 @@ class FileContext:
 
     def resolve_call(self, call: ast.Call) -> tuple[str, str] | None:
         """(function id, display label) a call dispatches to, if resolvable."""
-        if self.syntax is None or self.project is None:
-            return None
         scope = self.scope_qualname(call)
-        resolved = self.syntax.resolve_call_expr(call.func, scope)
+        resolved = self.facts.resolve_call_expr(call.func, scope)
         if resolved is None:
             return None
         target, label = resolved
-        fid = self.project.resolve_symbolic(self.syntax, target)
+        fid = self.project.resolve_symbolic(self.facts, target)
         if fid is None:
             return None
         return fid, label
@@ -119,17 +110,15 @@ class FileContext:
         Unlike :meth:`resolve_call` this takes the expression of a
         function passed by value (``backend.run_chunks(fn, ...)``).
         """
-        if self.syntax is None or self.project is None:
-            return None
         target: str | None = None
         if isinstance(expr, ast.Name):
-            target = self.syntax.resolve_name(expr.id, scope)
+            target = self.facts.resolve_name(expr.id, scope)
         elif isinstance(expr, ast.Attribute):
-            resolved = self.syntax.resolve_call_expr(expr, scope)
+            resolved = self.facts.resolve_call_expr(expr, scope)
             target = resolved[0] if resolved is not None else None
         if target is None:
             return None
-        return self.project.resolve_symbolic(self.syntax, target)
+        return self.project.resolve_symbolic(self.facts, target)
 
     # -- v3: source offsets for autofix edits ------------------------------
 

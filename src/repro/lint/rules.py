@@ -58,13 +58,14 @@ from repro.lint.flow import (
 )
 from repro.lint.registry import FileContext, rule
 from repro.lint.summaries import (
-    DATETIME_WALL,
     EFFECT_LABELS,
     NP_RANDOM_OK,
     RANDOM_OK,
     TIME_WALL,
-    FunctionSummary,
+    FunctionFacts,
     chain_text,
+    rng_attribute_violation,
+    wall_clock_violation,
 )
 
 
@@ -97,8 +98,6 @@ def _call_effect_findings(
     violation is three calls deep: the effect closure carries the origin
     and the chain of calls it travelled, which the message quotes.
     """
-    if ctx.project is None:
-        return
     resolved = ctx.resolve_call(node)
     if resolved is None:
         return
@@ -151,11 +150,10 @@ def _sorted_wrap_fix(
 
 # --- R001: global RNG state ---------------------------------------------------
 
-# The attribute whitelists are shared with the summary extractor so the
-# intra-procedural rules and the interprocedural effect pass can never
-# disagree about what counts as global RNG state or a wall-clock read.
-_RANDOM_OK = RANDOM_OK
-_NP_RANDOM_OK = NP_RANDOM_OK
+# The attribute predicates and whitelists are shared with the summary
+# extractor so the intra-procedural rules and the interprocedural effect
+# pass can never disagree about what counts as global RNG state or a
+# wall-clock read.
 
 
 @rule(
@@ -174,7 +172,7 @@ def no_global_rng(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
     if isinstance(node, ast.ImportFrom):
         if node.module == "random":
             for alias in node.names:
-                if alias.name not in _RANDOM_OK:
+                if alias.name not in RANDOM_OK:
                     yield ctx.finding(
                         node,
                         "R001",
@@ -183,7 +181,7 @@ def no_global_rng(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
                     )
         elif node.module == "numpy.random":
             for alias in node.names:
-                if alias.name not in _NP_RANDOM_OK:
+                if alias.name not in NP_RANDOM_OK:
                     yield ctx.finding(
                         node,
                         "R001",
@@ -192,37 +190,17 @@ def no_global_rng(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
                     )
         return
     assert isinstance(node, ast.Attribute)
-    value = node.value
-    if (
-        isinstance(value, ast.Name)
-        and value.id == "random"
-        and node.attr not in _RANDOM_OK
-    ):
-        yield ctx.finding(
-            node,
-            "R001",
-            f"random.{node.attr} mutates the shared module RNG; "
-            "use a seeded random.Random instance",
-        )
-    elif (
-        isinstance(value, ast.Attribute)
-        and value.attr == "random"
-        and isinstance(value.value, ast.Name)
-        and value.value.id in ("np", "numpy")
-        and node.attr not in _NP_RANDOM_OK
-    ):
-        yield ctx.finding(
-            node,
-            "R001",
-            f"{value.value.id}.random.{node.attr} mutates numpy's global RNG; "
-            "use numpy.random.default_rng(seed)",
-        )
+    rng = rng_attribute_violation(node)
+    if rng is None:
+        return
+    if rng.startswith("random."):
+        advice = "mutates the shared module RNG; use a seeded random.Random instance"
+    else:
+        advice = "mutates numpy's global RNG; use numpy.random.default_rng(seed)"
+    yield ctx.finding(node, "R001", f"{rng} {advice}")
 
 
 # --- R002: wall-clock reads ---------------------------------------------------
-
-_TIME_WALL = TIME_WALL
-_DATETIME_WALL = DATETIME_WALL
 
 
 @rule(
@@ -243,7 +221,7 @@ def no_wall_clock(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
     if isinstance(node, ast.ImportFrom):
         if node.module == "time":
             for alias in node.names:
-                if alias.name in _TIME_WALL:
+                if alias.name in TIME_WALL:
                     yield ctx.finding(
                         node,
                         "R002",
@@ -252,24 +230,14 @@ def no_wall_clock(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
                     )
         return
     assert isinstance(node, ast.Attribute)
-    if (
-        isinstance(node.value, ast.Name)
-        and node.value.id == "time"
-        and node.attr in _TIME_WALL
-    ):
-        yield ctx.finding(
-            node,
-            "R002",
-            f"time.{node.attr} reads the wall clock; use "
-            "time.monotonic()/perf_counter() (repro.obs owns timing)",
-        )
-    elif node.attr in _DATETIME_WALL and _dotted_root(node) in ("datetime", "date"):
-        yield ctx.finding(
-            node,
-            "R002",
-            f"{_dotted_root(node)}.{node.attr} reads the wall clock; planner "
-            "outputs must not depend on when they were produced",
-        )
+    clock = wall_clock_violation(node)
+    if clock is None:
+        return
+    if clock.startswith("time."):
+        advice = "use time.monotonic()/perf_counter() (repro.obs owns timing)"
+    else:
+        advice = "planner outputs must not depend on when they were produced"
+    yield ctx.finding(node, "R002", f"{clock} reads the wall clock; {advice}")
 
 
 # --- R003: float equality on quantities --------------------------------------
@@ -430,15 +398,12 @@ def _r004_argument_findings(
     decide; handing such a parameter a set is the same bug as iterating
     the set here, just one call later.
     """
-    if ctx.project is None:
-        return
     resolved = ctx.resolve_call(node)
     if resolved is None:
         return
     fid, label = resolved
-    summary = ctx.project.summary_of(fid)
     info = ctx.project.function(fid)
-    if summary is None or info is None or not summary.iterated_params:
+    if info is None or not info.iterated_params:
         return
     params = list(info.params)
     bound_method = (
@@ -460,7 +425,7 @@ def _r004_argument_findings(
         if keyword.arg is not None:
             pairs.append((keyword.arg, keyword.value))
     for name, arg in pairs:
-        if name not in summary.iterated_params:
+        if name not in info.iterated_params:
             continue
         value = _unordered_value(arg, ctx)
         if value is None:
@@ -976,19 +941,15 @@ def _submitted_callable(node: ast.Call) -> tuple[ast.expr, str] | None:
     return _unwrap_partial(node.args[index]), label
 
 
-def _submitted_summary(
+def _submitted_function(
     expr: ast.expr, ctx: FileContext
-) -> tuple[str, FunctionSummary] | None:
-    """(fid, summary) of a project function passed by reference, if any."""
-    if ctx.project is None or ctx.syntax is None:
-        return None
+) -> tuple[str, FunctionFacts] | None:
+    """(fid, facts) of a project function passed by reference, if any."""
     fid = ctx.resolve_callable(expr, ctx.scope_qualname(expr))
     if fid is None:
         return None
-    summary = ctx.project.summary_of(fid)
-    if summary is None:
-        return None
-    return fid, summary
+    info = ctx.project.function(fid)
+    return (fid, info) if info is not None else None
 
 
 def _worker_safe_findings(
@@ -1002,14 +963,12 @@ def _worker_safe_findings(
     The decorator is the author's claim that a function may run in pool
     workers; the transitive effect closure is the proof obligation.
     """
-    if ctx.project is None or ctx.syntax is None:
-        return
-    qualname = ctx.syntax.node_qualnames.get(node)
+    qualname = ctx.facts.node_qualnames.get(node)
     if qualname is None:
         return
-    fid = function_id(ctx.syntax.path, qualname)
-    summary = ctx.project.summary_of(fid)
-    if summary is None or not summary.worker_safe:
+    fid = function_id(ctx.facts.path, qualname)
+    info = ctx.project.function(fid)
+    if info is None or not info.worker_safe:
         return
     for effect in effect_names:
         origin = ctx.project.effects_of(fid).get(effect)
@@ -1050,7 +1009,7 @@ def pool_picklable(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
             "pool workers; define a module-level function",
         )
         return
-    resolved = _submitted_summary(expr, ctx)
+    resolved = _submitted_function(expr, ctx)
     if resolved is not None and resolved[1].is_nested:
         yield ctx.finding(
             expr,
@@ -1079,13 +1038,13 @@ def pool_deterministic(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         return
     assert isinstance(node, ast.Call)
     submitted = _submitted_callable(node)
-    if submitted is None or ctx.project is None:
+    if submitted is None:
         return
     expr, label = submitted
-    resolved = _submitted_summary(expr, ctx)
+    resolved = _submitted_function(expr, ctx)
     if resolved is None:
         return
-    fid, summary = resolved
+    fid, info = resolved
     for effect in _POOL_DETERMINISM:
         origin = ctx.project.effects_of(fid).get(effect)
         if origin is None:
@@ -1093,7 +1052,7 @@ def pool_deterministic(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         yield ctx.finding(
             expr,
             "R013",
-            f"`{summary.name}()` submitted to {label} "
+            f"`{info.name}()` submitted to {label} "
             f"{EFFECT_LABELS[effect]} ({chain_text(origin)}); pool work "
             "must be deterministic per chunk",
         )
@@ -1117,13 +1076,13 @@ def pool_pure(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         return
     assert isinstance(node, ast.Call)
     submitted = _submitted_callable(node)
-    if submitted is None or ctx.project is None:
+    if submitted is None:
         return
     expr, label = submitted
-    resolved = _submitted_summary(expr, ctx)
+    resolved = _submitted_function(expr, ctx)
     if resolved is None:
         return
-    fid, summary = resolved
+    fid, info = resolved
     for effect in _POOL_PURITY:
         origin = ctx.project.effects_of(fid).get(effect)
         if origin is None:
@@ -1131,7 +1090,7 @@ def pool_pure(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         yield ctx.finding(
             expr,
             "R014",
-            f"`{summary.name}()` submitted to {label} "
+            f"`{info.name}()` submitted to {label} "
             f"{EFFECT_LABELS[effect]} ({chain_text(origin)}); chunk "
             "functions must not touch the filesystem or iterate "
             "unordered data",

@@ -94,9 +94,8 @@ def to_sarif(
 
     ``rules`` is the selected rule set (normally
     :func:`repro.lint.registry.all_rules`); rule ids that appear only in
-    findings (R000/R900, or a rule filtered out by ``--disable`` whose
-    cached finding survived) still get a descriptor, so every ``result``
-    has a resolvable ``ruleId``.
+    findings (R000/R900) still get a descriptor, so every ``result`` has
+    a resolvable ``ruleId``.
     """
     by_id = {rule.rule_id: rule for rule in rules}
     ids = sorted(set(by_id) | {f.rule_id for f in findings})

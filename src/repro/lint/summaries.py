@@ -1,32 +1,44 @@
-"""repro.lint.summaries — per-function effect & unit summaries for v3.
+"""repro.lint.summaries — one record of facts per function.
 
-The interprocedural half of reprolint: every function in the lint set
-gets a :class:`FunctionSummary` describing what crossing its call
-boundary can do to the planner's invariants —
+The interprocedural half of reprolint. Each file is reduced to a
+:class:`FileFacts`: its import map, its scope tables, and one
+:class:`FunctionFacts` per function, filled by a declaration pass and
+then **one own-scope walk per function** (:func:`analyze_file`) that
+tracks the lockset of the enclosing ``with`` blocks as it goes. The walk
+records:
+
+**call sites** with a *symbolic* target (``local:helper`` or
+``import:repro.core.hose.solve``), resolved against the whole lint set
+by :mod:`repro.lint.project` through :mod:`repro.lint.callgraph`; each
+site keeps the locks held around it for the concurrency phase.
 
 **determinism effects**
     ``global_rng`` (mutates the shared module RNG — R001's invariant),
     ``wall_clock`` (reads environment time — R002), ``module_state``
     (rebinds module globals — R005), ``unordered_iter`` (iterates an
-    unordered collection order-sensitively — R004), and ``io`` (touches
+    unordered collection order-sensitively — R004), ``io`` (touches
     the filesystem — no intra-procedural rule, but pool-submitted
-    callables must be pure: R014). Effects are extracted *directly* per
-    function (pass 1) and then propagated transitively bottom-up over
-    the call graph (:func:`propagate_effects`), each carrying an origin
-    ("``random.seed`` at ``path:line``") and the call chain it travelled
-    ("via ``helper()`` at line N") so a finding three calls up still
-    quotes the root cause.
+    callables must be pure: R014), and ``blocking`` (may park the
+    thread — R016). Effects are extracted *directly* per function and
+    then propagated transitively bottom-up over the call graph
+    (:func:`propagate_effects`), each carrying an origin ("``random.seed``
+    at ``path:line``") and the call chain it travelled ("via
+    ``helper()`` at line N") so a finding three calls up still quotes
+    the root cause.
 
 **unit / orderedness signatures**
     What a call returns, through the same lattice the flow pass uses:
     a unit tag (``dist_km()`` → ``km``), an orderedness, and — the key
     trick — a *symbolic* reference when a function returns another
     function's result (``def a(): return b()`` records ``call →
-    local:b``). Symbolic returns are resolved against the live project
-    on every run (:func:`resolve_returns`), so per-function summaries
-    stay pure functions of their own source text (what makes them
-    cacheable by source digest) while call-depth-N unit and set-ness
-    still flow to the caller.
+    local:b``). Symbolic returns are resolved against the project
+    (:func:`resolve_returns`), so call-depth-N unit and set-ness still
+    flow to the caller.
+
+**locksets and resources** for :mod:`repro.lint.concurrency`: every
+``with <lock>:`` acquisition (and the locks already held), ``self.*``
+data accesses with their lockset, thread construction, and whether a
+return hands back a fresh resource.
 
 **blessed effects** do not propagate: an effect whose origin statement
 carries the matching ``# repro: noqa-RXXX`` or sits in a path the rule
@@ -38,24 +50,37 @@ surface at call sites.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from dataclasses import dataclass, field, replace
+from pathlib import Path
+from typing import Any, Callable, Mapping
 
-from repro.lint.callgraph import FileSyntax, LocalFunction, decorator_names
-from repro.lint.flow import FlowInfo, Orderedness, unit_suffix
+from repro.lint.callgraph import (
+    decorator_names,
+    dotted_parts,
+    module_name_for_path,
+    scope_chain,
+    tarjan_scc,
+)
+from repro.lint.flow import (
+    AbstractValue,
+    CallResolver,
+    FlowInfo,
+    Orderedness,
+    analyze_flow,
+    unit_suffix,
+)
 
 __all__ = [
     "EFFECT_RULES",
     "EffectOrigin",
-    "FunctionSummary",
+    "FileFacts",
+    "FunctionFacts",
+    "analyze_file",
     "blocking_call_violation",
+    "canonical_lock",
     "chain_text",
-    "extract_summaries",
     "propagate_effects",
     "resolve_returns",
-    "summary_digest",
 ]
 
 #: Effect name -> the rule whose invariant it violates (None: pool-only).
@@ -131,23 +156,6 @@ class EffectOrigin:
     origin: str
     chain: tuple[tuple[str, int], ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "effect": self.effect,
-            "origin": self.origin,
-            "chain": [list(step) for step in self.chain],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EffectOrigin":
-        return cls(
-            effect=str(data["effect"]),
-            origin=str(data["origin"]),
-            chain=tuple(
-                (str(name), int(line)) for name, line in data.get("chain", [])
-            ),
-        )
-
 
 def chain_text(origin: EffectOrigin) -> str:
     """The quoted chain of one effect: ``via `a()` at line 3 → ... → root``."""
@@ -156,80 +164,127 @@ def chain_text(origin: EffectOrigin) -> str:
     return " → ".join(steps)
 
 
+#: ``(symbolic target, display label, line, locks held)`` of one call
+#: site; ``held`` is None where the lockset is not tracked (lambda bodies
+#: and ``with ... as`` targets), which still count as call-graph edges.
+CallFact = tuple[str, str, int, tuple[str, ...] | None]
+
+
 @dataclass
-class FunctionSummary:
-    """Everything callers may assume about one function, cacheable."""
+class FunctionFacts:
+    """Everything reprolint knows about one function from its own file.
+
+    The declaration pass fills the signature fields; the own-scope walk
+    fills the rest. :func:`resolve_returns` hands back copies whose
+    symbolic ``return_call`` is resolved.
+    """
 
     qualname: str
     name: str
     lineno: int
-    is_nested: bool
-    worker_safe: bool
+    #: Qualname of the enclosing function, for nested ``def``s.
+    parent: str | None = None
+    class_name: str | None = None
+    params: tuple[str, ...] = ()
+    decorators: tuple[str, ...] = ()
+    calls: list[CallFact] = field(default_factory=list)
     #: Unblessed *direct* effects; propagation adds transitive ones.
     effects: dict[str, EffectOrigin] = field(default_factory=dict)
     #: Parameters the body iterates order-sensitively while their
     #: orderedness is still the caller's to decide.
-    iterated_params: tuple[str, ...] = ()
+    iterated_params: list[str] = field(default_factory=list)
     #: ``(symbolic target, display origin, line)`` for every loop that
     #: iterates the result of a project call — whether that is an
     #: unordered iteration depends on the callee's resolved return
     #: summary, so the check is deferred to the project phase.
-    iterated_calls: tuple[tuple[str, str, int], ...] = ()
+    iterated_calls: list[tuple[str, str, int]] = field(default_factory=list)
     return_unit: str | None = None
     return_ordered: str = "unknown"
     return_origin: str | None = None
     #: Symbolic ``local:<qualname>``/``import:<dotted>`` when the return
     #: value is another function's result; resolved per run.
     return_call: str | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "lineno": self.lineno,
-            "is_nested": self.is_nested,
-            "worker_safe": self.worker_safe,
-            "effects": {
-                eff: origin.to_dict() for eff, origin in sorted(self.effects.items())
-            },
-            "iterated_params": list(self.iterated_params),
-            "iterated_calls": [list(entry) for entry in self.iterated_calls],
-            "return_unit": self.return_unit,
-            "return_ordered": self.return_ordered,
-            "return_origin": self.return_origin,
-            "return_call": self.return_call,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FunctionSummary":
-        return cls(
-            qualname=str(data["qualname"]),
-            name=str(data["name"]),
-            lineno=int(data["lineno"]),
-            is_nested=bool(data["is_nested"]),
-            worker_safe=bool(data["worker_safe"]),
-            effects={
-                eff: EffectOrigin.from_dict(o)
-                for eff, o in data.get("effects", {}).items()
-            },
-            iterated_params=tuple(data.get("iterated_params", ())),
-            iterated_calls=tuple(
-                (str(t), str(o), int(line))
-                for t, o, line in data.get("iterated_calls", [])
-            ),
-            return_unit=data.get("return_unit"),
-            return_ordered=str(data.get("return_ordered", "unknown")),
-            return_origin=data.get("return_origin"),
-            return_call=data.get("return_call"),
-        )
-
-
-def summary_digest(summary: FunctionSummary) -> str:
-    """A stable digest of one summary (cache invalidation currency)."""
-    payload = json.dumps(
-        summary.to_dict(), sort_keys=True, separators=(",", ":")
+    #: ``(lock, line)`` for every ``with <lock>:`` acquisition.
+    acquires: list[tuple[str, int]] = field(default_factory=list)
+    #: ``(outer, inner, line)`` for directly nested acquisitions.
+    nested: list[tuple[str, str, int]] = field(default_factory=list)
+    #: ``(attr, line, col, locks held, "read"|"write")`` for ``self.*``
+    #: data accesses (methods and lock-ish attributes excluded).
+    accesses: list[tuple[str, int, int, tuple[str, ...], str]] = field(
+        default_factory=list
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    #: Whether the body constructs a ``threading.Thread``.
+    spawns_thread: bool = False
+    #: ``"direct:<kind>"`` when a return statement hands back a fresh
+    #: resource, ``"call:<target>"`` when it returns another function's
+    #: result (resolved per run), else None.
+    returns_resource: str | None = None
+
+    @property
+    def is_nested(self) -> bool:
+        return self.parent is not None
+
+    @property
+    def worker_safe(self) -> bool:
+        return any(d.split(".")[-1] == "worker_safe" for d in self.decorators)
+
+
+@dataclass
+class FileFacts:
+    """One file's functions, imports and scope tables.
+
+    The AST-node map (``node_qualnames``) ties the facts to the parsed
+    tree the rules walk.
+    """
+
+    path: str
+    module: str
+    functions: dict[str, FunctionFacts] = field(default_factory=dict)
+    imports: dict[str, str] = field(default_factory=dict)
+    #: Canonical lock name -> constructor kind ("lock", "rlock", ...).
+    lock_kinds: dict[str, str] = field(default_factory=dict)
+    #: FunctionDef/AsyncFunctionDef node -> qualname.
+    node_qualnames: dict[ast.AST, str] = field(default_factory=dict, repr=False)
+    #: Per-scope name -> qualname tables ("" is module scope).
+    scope_names: dict[str, dict[str, str]] = field(default_factory=dict, repr=False)
+
+    def resolve_name(self, name: str, scope: str | None) -> str | None:
+        """Symbolic target of a bare ``name`` visible from ``scope``.
+
+        Searches nested-function tables innermost-out, then module-level
+        functions, then the import alias map.
+        """
+        for prefix in scope_chain(scope):
+            table = self.scope_names.get(prefix)
+            if table and name in table:
+                return f"local:{table[name]}"
+        if name in self.imports:
+            return f"import:{self.imports[name]}"
+        return None
+
+    def resolve_call_expr(
+        self, func: ast.expr, scope: str | None
+    ) -> tuple[str, str] | None:
+        """(symbolic target, display label) for a call's function expr."""
+        if isinstance(func, ast.Name):
+            target = self.resolve_name(func.id, scope)
+            return (target, func.id) if target is not None else None
+        if isinstance(func, ast.Attribute):
+            parts = dotted_parts(func)
+            if parts is None:
+                return None
+            root, rest = parts[0], parts[1:]
+            if root in ("self", "cls") and len(parts) == 2:
+                info = self.functions.get(scope) if scope is not None else None
+                if info is not None and info.class_name is not None:
+                    qualname = f"{info.class_name}.{parts[1]}"
+                    if qualname in self.functions:
+                        return f"local:{qualname}", f"{root}.{parts[1]}"
+                return None
+            if root in self.imports and rest:
+                dotted = ".".join([self.imports[root], *rest])
+                return f"import:{dotted}", ".".join(parts)
+        return None
 
 
 # -- direct-effect predicates (shared with the intra-procedural rules) --------
@@ -358,24 +413,117 @@ def io_call_violation(node: ast.Call) -> str | None:
     return None
 
 
+# -- locks, threads and resources (shared with repro.lint.concurrency) ------
+
+#: Name fragments that make an attribute or variable "lock-ish".
+_LOCKISH = ("lock", "mutex")
+
+#: Bare names that are lock-ish without containing a fragment.
+_LOCKISH_EXACT = frozenset({"cv", "cond", "condition"})
+
+#: threading constructors -> lock kind (reentrancy matters for R017).
+_LOCK_CTORS = {
+    "Lock": "lock",
+    "RLock": "rlock",
+    "Condition": "condition",
+    "Semaphore": "semaphore",
+    "BoundedSemaphore": "semaphore",
+}
+
+#: ``<module>.<attr>`` socket calls that hand back an open resource.
+_SOCKET_ACQ = frozenset({"socket", "create_connection"})
+
+#: Backend classes whose instances own process/thread pools.
+_POOL_CLASSES = frozenset({"ProcessBackend"})
+
+
+def lockish(name: str) -> bool:
+    lowered = name.lower()
+    return (
+        any(f in lowered for f in _LOCKISH)
+        or lowered.lstrip("_") in _LOCKISH_EXACT
+    )
+
+
+def canonical_lock(
+    expr: ast.expr, class_name: str | None, module: str
+) -> str | None:
+    """The project-wide name of a lock a ``with`` item acquires, if any.
+
+    ``self._lock`` in a method of ``PlannerService`` canonicalizes to
+    ``PlannerService._lock`` (instance locks are per-object, but one name
+    per class is the right granularity for ordering analysis); a bare
+    module-level ``_LOCK`` to ``<module>._LOCK``. Calls are never locks —
+    ``with self._guard():`` yields a fresh object per call.
+    """
+    parts = dotted_parts(expr)
+    if not parts or not lockish(parts[-1]):
+        return None
+    if parts[0] in ("self", "cls"):
+        owner = class_name if class_name is not None else "self"
+        return ".".join([owner, *parts[1:]])
+    if len(parts) == 1:
+        return f"{module}.{parts[0]}"
+    return ".".join(parts)
+
+
+def lock_kind_of(value: ast.expr) -> str | None:
+    """The threading-lock kind a constructor call builds, if any."""
+    if not isinstance(value, ast.Call):
+        return None
+    func = value.func
+    name = None
+    if isinstance(func, ast.Name):
+        name = func.id
+    elif isinstance(func, ast.Attribute):
+        parts = dotted_parts(func)
+        if parts and parts[0] == "threading":
+            name = func.attr
+    return _LOCK_CTORS.get(name) if name is not None else None
+
+
+def is_thread_ctor(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "Thread"
+    return isinstance(func, ast.Attribute) and func.attr == "Thread"
+
+
+def acquisition_kind_syntactic(call: ast.Call) -> str | None:
+    """Resource kind a call acquires, judged from the call shape alone."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        if func.id == "open":
+            return "file handle"
+        if func.id in _POOL_CLASSES:
+            return "worker pool"
+        return None
+    if not isinstance(func, ast.Attribute):
+        return None
+    parts = dotted_parts(func)
+    root = parts[0] if parts else None
+    if root == "socket" and func.attr in _SOCKET_ACQ:
+        return "socket"
+    if func.attr == "makefile":
+        return "stream"
+    if func.attr == "accept" and not call.args:
+        return "socket"
+    if root == "subprocess" and func.attr == "Popen":
+        return "process"
+    if func.attr in _POOL_CLASSES:
+        return "worker pool"
+    return None
+
+
 # -- extraction ---------------------------------------------------------------
-
-
-def _own_scope(node: ast.AST) -> Iterator[ast.AST]:
-    """Descendants of ``node`` excluding nested function/lambda bodies."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield child
-        yield from _own_scope(child)
 
 
 def _is_remote(value: Any) -> bool:
     """Whether an abstract value's taint came across a call boundary.
 
     Resolver-derived origins start with ``"via "``; excluding them keeps
-    direct-effect extraction a pure function of the file's own source,
-    which the source-digest cache keying depends on.
+    direct effects local: a callee's unordered return reaches this
+    function through ``iterated_calls`` and the project phase instead.
     """
     origin = getattr(value, "origin", None)
     return isinstance(origin, str) and origin.startswith("via ")
@@ -421,30 +569,19 @@ def _iter_param(expr: ast.expr, params: frozenset[str]) -> str | None:
 Blessing = Callable[[str, int], bool]
 
 
-def _first_yield_taint(
-    node: ast.AST, flow: FlowInfo, path: str
-) -> tuple[bool, str | None]:
-    """(has_yields, unordered ``yield from`` origin or None)."""
-    has_yield = False
-    for child in _own_scope(node):
-        if isinstance(child, ast.YieldFrom):
-            has_yield = True
-            origin = _unordered_origin(flow.value_of(child.value), path)
-            if origin is not None:
-                return True, origin
-        elif isinstance(child, ast.Yield):
-            has_yield = True
-    return has_yield, None
-
-
 def _return_summary(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
     flow: FlowInfo,
     path: str,
+    has_yield: bool,
+    yield_origin: str | None,
 ) -> tuple[str | None, str, str | None, str | None]:
-    """(unit, ordered, origin, symbolic call) of a function's return value."""
+    """(unit, ordered, origin, symbolic call) of a function's return value.
+
+    A generator returns what it yields: unordered when its first tainted
+    ``yield from`` says so, unknown otherwise.
+    """
     declared = unit_suffix(func.name)
-    has_yield, yield_origin = _first_yield_taint(func, flow, path)
     if has_yield:
         if yield_origin is not None:
             return declared, "unordered", yield_origin, None
@@ -479,117 +616,343 @@ def _return_summary(
     return unit, ordered.value, None, None
 
 
-def extract_summaries(
-    tree: ast.AST,
-    syntax: FileSyntax,
-    flow: FlowInfo,
-    *,
-    path: str,
-    is_blessed: Blessing,
-) -> dict[str, FunctionSummary]:
-    """Pass-1 summaries for every function of one live-parsed file.
+class _Declarations(ast.NodeVisitor):
+    """The declaration pass: functions, their scopes, and imports.
 
-    A pure function of the file's source (plus the blessing predicate,
-    itself derived from the file's own noqa comments and path): nothing
-    here depends on other files, which is what makes the result cacheable
-    under the file's content digest.
+    Collection completes before the walks resolve any call, so forward
+    references (``def a(): return b()`` with ``b`` defined later) resolve.
     """
-    out: dict[str, FunctionSummary] = {}
-    for node, qualname in sorted(
-        syntax.node_qualnames.items(), key=lambda kv: kv[1]
-    ):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        info: LocalFunction = syntax.functions[qualname]
-        effects: dict[str, EffectOrigin] = {}
 
-        def found(effect: str, origin: str, line: int) -> None:
-            rule = EFFECT_RULES[effect]
-            if rule is not None and is_blessed(rule, line):
-                return
-            if effect not in effects:
-                effects[effect] = EffectOrigin(effect, f"{origin} at {path}:{line}")
+    def __init__(self, facts: FileFacts) -> None:
+        self.facts = facts
+        #: (kind, name) scope stack entries; kind is "func" or "class".
+        self._stack: list[tuple[str, str]] = []
 
-        params = frozenset(info.params)
-        iterated: list[str] = []
-        iterated_calls: list[tuple[str, str, int]] = []
-        for child in _own_scope(node):
-            if isinstance(child, ast.Attribute):
-                rng = rng_attribute_violation(child)
-                if rng is not None:
-                    found("global_rng", rng, child.lineno)
-                clock = wall_clock_violation(child)
-                if clock is not None:
-                    found("wall_clock", clock, child.lineno)
-            elif isinstance(child, ast.Global):
-                found(
-                    "module_state",
-                    f"global {', '.join(child.names)}",
-                    child.lineno,
-                )
-            elif isinstance(child, ast.Call):
-                io = io_call_violation(child)
-                if io is not None:
-                    found("io", io, child.lineno)
-                blocking = blocking_call_violation(child)
-                if blocking is not None:
-                    found("blocking", blocking, child.lineno)
-            elif isinstance(child, (ast.For, ast.AsyncFor)):
-                value = flow.value_of(child.iter)
-                origin = _unordered_origin(value, path)
-                if origin is None and _syntactic_set(child.iter):
-                    origin = f"set iteration at {path}:{child.iter.lineno}"
-                if origin is not None:
-                    rule = EFFECT_RULES["unordered_iter"]
-                    if rule is None or not is_blessed(rule, child.lineno):
-                        effects.setdefault(
-                            "unordered_iter",
-                            EffectOrigin("unordered_iter", origin),
-                        )
-                param = _iter_param(child.iter, params)
-                if (
-                    param is not None
-                    and flow.value_of(child.iter).ordered is Orderedness.UNKNOWN
-                    and param not in iterated
-                ):
-                    iterated.append(param)
-                ref = getattr(flow.value_of(child.iter), "call_ref", None)
-                if ref is not None:
-                    rule = EFFECT_RULES["unordered_iter"]
-                    if rule is None or not is_blessed(rule, child.lineno):
-                        iterated_calls.append(
-                            (
-                                ref,
-                                flow.value_of(child.iter).origin or "",
-                                child.lineno,
-                            )
-                        )
+    def _qualname(self, name: str) -> str:
+        parts: list[str] = []
+        for kind, entry in self._stack:
+            parts.append(entry)
+            if kind == "func":
+                parts.append("<locals>")
+        parts.append(name)
+        return ".".join(parts)
 
-        unit, ordered, r_origin, r_call = _return_summary(node, flow, path)
-        out[qualname] = FunctionSummary(
-            qualname=qualname,
-            name=info.name,
-            lineno=info.lineno,
-            is_nested=info.is_nested,
-            worker_safe=any(
-                d.split(".")[-1] == "worker_safe" for d in decorator_names(node)
-            ),
-            effects=effects,
-            iterated_params=tuple(iterated),
-            iterated_calls=tuple(iterated_calls),
-            return_unit=unit,
-            return_ordered=ordered,
-            return_origin=r_origin,
-            return_call=r_call,
+    def _enclosing_func(self) -> str | None:
+        for kind, entry in reversed(self._stack):
+            if kind == "func":
+                return entry
+        return None
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".", 1)[0]
+            target = alias.name if alias.asname else alias.name.split(".", 1)[0]
+            self.facts.imports.setdefault(bound, target)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        base = self._absolute_module(node)
+        if base is None:
+            return
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            bound = alias.asname or alias.name
+            self.facts.imports.setdefault(bound, f"{base}.{alias.name}")
+
+    def _absolute_module(self, node: ast.ImportFrom) -> str | None:
+        if node.level == 0:
+            return node.module
+        base_parts = self.facts.module.split(".")
+        if node.level > len(base_parts):
+            return None
+        base_parts = base_parts[: len(base_parts) - node.level]
+        if node.module:
+            base_parts.append(node.module)
+        return ".".join(base_parts) if base_parts else None
+
+    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        qualname = self._qualname(node.name)
+        parent = self._enclosing_func()
+        class_name = (
+            self._stack[-1][1] if self._stack and self._stack[-1][0] == "class" else None
         )
-    return out
+        args = node.args
+        self.facts.functions[qualname] = FunctionFacts(
+            qualname=qualname,
+            name=node.name,
+            lineno=node.lineno,
+            parent=parent,
+            class_name=class_name,
+            params=tuple(
+                a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+            ),
+            decorators=decorator_names(node),
+        )
+        self.facts.node_qualnames[node] = qualname
+        self.facts.scope_names.setdefault(parent or "", {})[node.name] = qualname
+        self._stack.append(("func", qualname))
+        self.generic_visit(node)
+        self._stack.pop()
+
+    visit_FunctionDef = _visit_function
+    visit_AsyncFunctionDef = _visit_function
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._stack.append(("class", self._qualname(node.name)))
+        self.generic_visit(node)
+        self._stack.pop()
+
+
+class _FunctionWalk:
+    """One function's own scope, walked once with the held lockset.
+
+    Nested ``def`` and lambda bodies belong to their own scopes; a
+    lambda's calls still count as call-graph edges of this function.
+    """
+
+    def __init__(
+        self,
+        facts: FileFacts,
+        fn: FunctionFacts,
+        flow: FlowInfo,
+        path: str,
+        is_blessed: Blessing,
+    ) -> None:
+        self.facts = facts
+        self.fn = fn
+        self.flow = flow
+        self.path = path
+        self.is_blessed = is_blessed
+        self.params = frozenset(fn.params)
+        self.tracks_access = fn.class_name is not None and fn.name not in (
+            "__init__",
+            "__del__",
+        )
+        self.lock_kinds: dict[str, str] = {}
+        self.has_yield = False
+        self.yield_origin: str | None = None
+
+    def run(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        self.walk(node, ())
+        fn = self.fn
+        (
+            fn.return_unit,
+            fn.return_ordered,
+            fn.return_origin,
+            fn.return_call,
+        ) = _return_summary(
+            node, self.flow, self.path, self.has_yield, self.yield_origin
+        )
+
+    def walk(self, node: ast.AST, held: tuple[str, ...] | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Lambda):
+                for sub in ast.walk(child):
+                    if isinstance(sub, ast.Call):
+                        self._record_call(sub, None)
+            elif isinstance(child, (ast.With, ast.AsyncWith)):
+                assert held is not None  # no statement sits in a with-as target
+                self._walk_with(child, held)
+            else:
+                self._visit(child, held)
+                self.walk(child, held)
+
+    def _walk_with(
+        self, node: ast.With | ast.AsyncWith, held: tuple[str, ...]
+    ) -> None:
+        for item in node.items:
+            # The context expression evaluates before acquisition.
+            self._visit(item.context_expr, held)
+            self.walk(item.context_expr, held)
+            if item.optional_vars is not None:
+                self._visit(item.optional_vars, None)
+                self.walk(item.optional_vars, None)
+            lock = canonical_lock(
+                item.context_expr, self.fn.class_name, self.facts.module
+            )
+            if lock is not None:
+                self.fn.acquires.append((lock, node.lineno))
+                for outer in held:
+                    self.fn.nested.append((outer, lock, node.lineno))
+                if lock not in held:
+                    held = (*held, lock)
+        for stmt in node.body:
+            if isinstance(stmt, (ast.With, ast.AsyncWith)):
+                self._walk_with(stmt, held)
+            elif not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._visit(stmt, held)
+                self.walk(stmt, held)
+
+    def _effect(self, effect: str, origin: str, line: int) -> None:
+        rule = EFFECT_RULES[effect]
+        if rule is not None and self.is_blessed(rule, line):
+            return
+        if effect not in self.fn.effects:
+            self.fn.effects[effect] = EffectOrigin(
+                effect, f"{origin} at {self.path}:{line}"
+            )
+
+    def _record_call(self, node: ast.Call, held: tuple[str, ...] | None) -> None:
+        resolved = self.facts.resolve_call_expr(node.func, self.fn.qualname)
+        if resolved is not None:
+            target, label = resolved
+            self.fn.calls.append((target, label, node.lineno, held))
+
+    def _visit(self, node: ast.AST, held: tuple[str, ...] | None) -> None:
+        fn = self.fn
+        if isinstance(node, ast.Call):
+            self._record_call(node, held)
+            if held is not None and is_thread_ctor(node):
+                fn.spawns_thread = True
+            io = io_call_violation(node)
+            if io is not None:
+                self._effect("io", io, node.lineno)
+            blocking = blocking_call_violation(node)
+            if blocking is not None:
+                self._effect("blocking", blocking, node.lineno)
+        elif isinstance(node, ast.Attribute):
+            rng = rng_attribute_violation(node)
+            if rng is not None:
+                self._effect("global_rng", rng, node.lineno)
+            clock = wall_clock_violation(node)
+            if clock is not None:
+                self._effect("wall_clock", clock, node.lineno)
+            if held is not None:
+                self._visit_access(node, held)
+        elif isinstance(node, ast.Global):
+            self._effect(
+                "module_state", f"global {', '.join(node.names)}", node.lineno
+            )
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            self._visit_for(node)
+        elif isinstance(node, ast.Assign):
+            kind = lock_kind_of(node.value)
+            if kind is not None:
+                for target in node.targets:
+                    lock = canonical_lock(target, fn.class_name, self.facts.module)
+                    if lock is not None:
+                        self.lock_kinds.setdefault(lock, kind)
+        elif isinstance(node, ast.Return) and node.value is not None:
+            self._visit_return(node.value)
+        elif isinstance(node, ast.YieldFrom):
+            self.has_yield = True
+            if self.yield_origin is None:
+                self.yield_origin = _unordered_origin(
+                    self.flow.value_of(node.value), self.path
+                )
+        elif isinstance(node, ast.Yield):
+            self.has_yield = True
+
+    def _visit_for(self, node: ast.For | ast.AsyncFor) -> None:
+        value = self.flow.value_of(node.iter)
+        origin = _unordered_origin(value, self.path)
+        if origin is None and _syntactic_set(node.iter):
+            origin = f"set iteration at {self.path}:{node.iter.lineno}"
+        blessed = self.is_blessed("R004", node.lineno)
+        if origin is not None and not blessed:
+            self.fn.effects.setdefault(
+                "unordered_iter", EffectOrigin("unordered_iter", origin)
+            )
+        param = _iter_param(node.iter, self.params)
+        if (
+            param is not None
+            and value.ordered is Orderedness.UNKNOWN
+            and param not in self.fn.iterated_params
+        ):
+            self.fn.iterated_params.append(param)
+        if value.call_ref is not None and not blessed:
+            self.fn.iterated_calls.append(
+                (value.call_ref, value.origin or "", node.lineno)
+            )
+
+    def _visit_access(self, node: ast.Attribute, held: tuple[str, ...]) -> None:
+        if not self.tracks_access:
+            return
+        if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+            return
+        if lockish(node.attr):
+            return
+        if f"{self.fn.class_name}.{node.attr}" in self.facts.functions:
+            return  # a bound-method reference, not shared data
+        kind = "write" if isinstance(node.ctx, (ast.Store, ast.Del)) else "read"
+        self.fn.accesses.append(
+            (node.attr, node.lineno, node.col_offset + 1, held, kind)
+        )
+
+    def _visit_return(self, value: ast.expr) -> None:
+        if self.fn.returns_resource is not None or not isinstance(value, ast.Call):
+            return
+        kind = acquisition_kind_syntactic(value)
+        if kind is not None:
+            self.fn.returns_resource = f"direct:{kind}"
+            return
+        resolved = self.facts.resolve_call_expr(value.func, self.fn.qualname)
+        if resolved is not None:
+            self.fn.returns_resource = f"call:{resolved[0]}"
+
+
+def _symbolic_resolver(facts: FileFacts) -> CallResolver:
+    """Flow-pass resolver: claim project calls with a symbolic ``call_ref``."""
+
+    def resolver(scope_node: ast.AST, call: ast.Call) -> AbstractValue | None:
+        scope = facts.node_qualnames.get(scope_node)
+        resolved = facts.resolve_call_expr(call.func, scope)
+        if resolved is None:
+            return None
+        target, label = resolved
+        return AbstractValue(
+            unit=unit_suffix(label.rsplit(".", 1)[-1]),
+            ordered=Orderedness.UNKNOWN,
+            origin=f"via `{label}()` at line {call.lineno}",
+            origin_line=None,
+            call_ref=target,
+        )
+
+    return resolver
+
+
+def analyze_file(
+    tree: ast.AST, path: str, *, is_blessed: Blessing | None = None
+) -> FileFacts:
+    """The facts of one parsed file, from its own source alone.
+
+    The declaration pass indexes functions and imports, the flow pass
+    runs with project calls claimed symbolically, and one own-scope walk
+    per function fills its record. ``is_blessed`` (default: nothing is)
+    keeps noqa'd or path-exempt origins out of the effects.
+    """
+    facts = FileFacts(path=path, module=module_name_for_path(path))
+    _Declarations(facts).visit(tree)
+    flow = analyze_flow(tree, _symbolic_resolver(facts))
+    origin_path = Path(path).as_posix()
+    blessed = is_blessed if is_blessed is not None else (lambda _r, _l: False)
+    for node, qualname in sorted(
+        facts.node_qualnames.items(), key=lambda kv: kv[1]
+    ):
+        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        walk = _FunctionWalk(
+            facts, facts.functions[qualname], flow, origin_path, blessed
+        )
+        walk.run(node)
+        facts.lock_kinds.update(walk.lock_kinds)
+    # Module-level lock constructions (`_LOCK = threading.Lock()`).
+    for stmt in getattr(tree, "body", ()):
+        kind = lock_kind_of(stmt.value) if isinstance(stmt, ast.Assign) else None
+        if kind is not None:
+            for target in stmt.targets:
+                lock = canonical_lock(target, None, facts.module)
+                if lock is not None:
+                    facts.lock_kinds.setdefault(lock, kind)
+    return facts
 
 
 # -- propagation --------------------------------------------------------------
 
 
 def propagate_effects(
-    summaries: Mapping[str, FunctionSummary],
+    summaries: Mapping[str, FunctionFacts],
     edges: Mapping[str, list[tuple[str, str, int]]],
     *,
     seed_effects: Mapping[str, Mapping[str, EffectOrigin]] | None = None,
@@ -605,8 +968,6 @@ def propagate_effects(
     ``(function, effect)`` pair — the first one discovered — is
     deterministic.
     """
-    from repro.lint.callgraph import tarjan_scc
-
     if seed_effects is None:
         effects: dict[str, dict[str, EffectOrigin]] = {
             fid: dict(summary.effects) for fid, summary in summaries.items()
@@ -643,47 +1004,40 @@ def propagate_effects(
 
 
 def resolve_returns(
-    summaries: Mapping[str, FunctionSummary],
+    functions: Mapping[str, FunctionFacts],
     resolve: Callable[[str, str], str | None],
-) -> dict[str, FunctionSummary]:
+) -> dict[str, FunctionFacts]:
     """Resolve symbolic ``return_call`` references to concrete facts.
 
     ``resolve(fid, target)`` maps a symbolic target (seen from ``fid``'s
     file) to a project function id. Chains (``a`` returns ``b()`` returns
     ``c()``) are followed with memoization; cycles conservatively resolve
-    to *unknown*. Returns new summaries — inputs are never mutated, so
-    the per-file (cacheable) summaries stay pure.
+    to *unknown*. Returns resolved copies — the per-file records are
+    never mutated.
     """
-    resolved: dict[str, FunctionSummary] = {}
+    resolved: dict[str, FunctionFacts] = {}
     in_progress: set[str] = set()
 
-    def final(fid: str) -> FunctionSummary:
+    def final(fid: str) -> FunctionFacts:
         if fid in resolved:
             return resolved[fid]
-        summary = summaries[fid]
-        if summary.return_call is None or fid in in_progress:
-            resolved[fid] = summary
-            return summary
+        fn = functions[fid]
+        if fn.return_call is None or fid in in_progress:
+            resolved[fid] = fn
+            return fn
         in_progress.add(fid)
         try:
-            callee_fid = resolve(fid, summary.return_call)
-            if callee_fid is None or callee_fid not in summaries:
-                out = summary
+            callee_fid = resolve(fid, fn.return_call)
+            if callee_fid is None or callee_fid not in functions:
+                out = fn
             else:
                 callee = final(callee_fid)
-                origin = summary.return_origin or f"via `{callee.name}()`"
+                origin = fn.return_origin or f"via `{callee.name}()`"
                 if callee.return_origin:
                     origin = f"{origin} → {callee.return_origin}"
-                out = FunctionSummary(
-                    qualname=summary.qualname,
-                    name=summary.name,
-                    lineno=summary.lineno,
-                    is_nested=summary.is_nested,
-                    worker_safe=summary.worker_safe,
-                    effects=summary.effects,
-                    iterated_params=summary.iterated_params,
-                    iterated_calls=summary.iterated_calls,
-                    return_unit=summary.return_unit or callee.return_unit,
+                out = replace(
+                    fn,
+                    return_unit=fn.return_unit or callee.return_unit,
                     return_ordered=callee.return_ordered,
                     return_origin=origin,
                     return_call=None,
@@ -693,6 +1047,6 @@ def resolve_returns(
         resolved[fid] = out
         return out
 
-    for fid in sorted(summaries):
+    for fid in sorted(functions):
         final(fid)
     return resolved

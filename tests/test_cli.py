@@ -104,6 +104,26 @@ class TestStoreCommands:
         assert strip(cold.out) == strip(warm.out)
         assert "1 miss(es)" in cold.err and "1 hit(s)" in warm.err
 
+    def test_plan_store_hit_reports_counts_without_a_split(
+        self, tmp_path, capsys
+    ):
+        # A stored plan keeps only its scenario count and total hose
+        # lookups, so a store hit must not report a 0% hit rate.
+        out_path = tmp_path / "plan.json"
+        store = tmp_path / "store"
+        args = ["--dcs", "4", "--tolerance", "1", "--store", str(store)]
+        assert main(["plan", *args, "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        counts = json.loads(out_path.read_text())["timings"]
+        assert main(["plan", *args]) == 0
+        timing = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("planning time:")]
+        assert timing == [
+            f"planning time: loaded from the store: "
+            f"{counts['scenarios_evaluated']} scenarios, "
+            f"{counts['hose_lookups']} hose lookups"
+        ]
+
     def test_sweep_cold_warm_stdout_identical(self, tmp_path, capsys):
         args = ["sweep", "--limit", "2", "--store", str(tmp_path)]
         assert main(args) == 0

@@ -759,6 +759,24 @@ class TestSuppressionProperty:
         assert with_noqa <= without_noqa
 
 
+class TestLintKeepsNoCache:
+    """Every lint runs the one cold pipeline: the plan store is not touched."""
+
+    def test_iris_store_is_left_empty(self, tmp_path, monkeypatch, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        monkeypatch.setenv("IRIS_STORE", str(store))
+        assert cli_main(["lint", str(REPO_ROOT / "src")]) == 0
+        assert list(store.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [["--store", "DIR"], ["--no-store"]])
+    def test_store_flags_are_usage_errors(self, tmp_path, flags, capsys):
+        (tmp_path / "clean.py").write_text("x = 1\n")
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["lint", str(tmp_path), *flags])
+        assert excinfo.value.code == 2
+
+
 class TestShippedTreeIsClean:
     def test_src_passes_reprolint(self):
         assert lint_paths([REPO_ROOT / "src"]) == []

@@ -12,12 +12,11 @@ import ast
 import pytest
 
 from repro.lint import (
-    extract_concurrency,
+    analyze_file,
     get_rule,
     lint_project,
     lint_source,
 )
-from repro.lint.callgraph import analyze_syntax
 from repro.lint.concurrency import canonical_lock
 
 
@@ -705,12 +704,11 @@ def once(event):
     assert only("R019", src) == []
 
 
-# --- per-file facts: extraction + cache round-trip ---------------------------
+# --- per-file facts: extraction ----------------------------------------------
 
 
 def _facts(source, path="m.py"):
-    tree = ast.parse(source)
-    return extract_concurrency(tree, analyze_syntax(tree, path))
+    return analyze_file(ast.parse(source), path)
 
 
 def test_extraction_records_acquires_and_guarded_accesses():
@@ -725,16 +723,6 @@ def test_extraction_records_acquires_and_guarded_accesses():
     peek = facts.functions["Service.peek"]
     assert peek.accesses[0][3] == ()  # unguarded
     assert facts.functions["Service.start"].spawns_thread
-
-
-def test_extraction_survives_dict_round_trip():
-    from repro.lint.concurrency import FileConcurrency
-
-    facts = _facts(R016_DEEP, "s.py")
-    clone = FileConcurrency.from_dict(facts.to_dict())
-    assert clone.to_dict() == facts.to_dict()
-    assert clone.functions.keys() == facts.functions.keys()
-    assert clone.lock_kinds == facts.lock_kinds
 
 
 def test_lock_kind_extraction_distinguishes_rlock():

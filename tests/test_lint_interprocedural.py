@@ -13,7 +13,7 @@ import pytest
 
 from repro.lint import (
     EffectOrigin,
-    FunctionSummary,
+    FunctionFacts,
     chain_text,
     get_rule,
     lint_project,
@@ -364,12 +364,10 @@ class TestPoolSafetyRules:
 
 
 def _summary(qualname, **kwargs):
-    return FunctionSummary(
+    return FunctionFacts(
         qualname=qualname,
         name=qualname.rsplit(".", 1)[-1],
         lineno=kwargs.pop("lineno", 1),
-        is_nested=kwargs.pop("is_nested", False),
-        worker_safe=kwargs.pop("worker_safe", False),
         **kwargs,
     )
 
