@@ -195,7 +195,7 @@ def cmd_plan(args) -> int:
               f"seed {args.traffic_seed})")
     print(f"scenarios: {len(plan.topology.scenario_paths)} enumerated "
           f"(of {plan.topology.scenario_count_total} raw)")
-    if plan.topology.timings is not None:
+    if plan.topology.timings is not None:  # None when loaded from the store
         print(f"planning time: {plan.topology.timings.summary()}")
     print(f"base fiber-pairs: {plan.topology.total_fiber_pairs()}")
     print(f"residual fiber-pair spans: {plan.residual_fiber_pairs()}")
@@ -524,7 +524,7 @@ def _require_store(args):
 
 
 def cmd_store_stats(args) -> int:
-    """Inventory the store (entries, blobs, bytes, kinds, session traffic)."""
+    """Inventory the store (blobs, bytes, kinds, session traffic)."""
     import json
 
     store = _require_store(args)
@@ -535,23 +535,19 @@ def cmd_store_stats(args) -> int:
         print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
         return 0
     print(f"store: {stats.root}")
-    print(f"  entries: {stats.entries} ({stats.blobs} blob(s), "
-          f"{stats.total_bytes:,} bytes)")
+    print(f"  blobs: {stats.blobs} ({stats.total_bytes:,} bytes)")
     for kind, count in sorted(stats.kinds.items()):
         print(f"  kind {kind}: {count}")
-    if stats.orphan_blobs:
-        print(f"  orphan blobs: {stats.orphan_blobs} (run `iris store gc`)")
     return 0
 
 
 def cmd_store_gc(args) -> int:
-    """Collect orphan blobs, stale tmp files, and dead manifest entries."""
+    """Remove the stale tmp files interrupted writes left behind."""
     store = _require_store(args)
     if store is None:
         return 2
     result = store.gc()
-    print(f"removed {result.removed_blobs} blob(s), "
-          f"dropped {result.dropped_entries} manifest entr(ies), "
+    print(f"removed {result.removed_tmp} stale tmp file(s), "
           f"reclaimed {result.reclaimed_bytes:,} bytes")
     return 0
 
@@ -853,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = p.add_subparsers(dest="store_command", required=True)
     for name, func, help_text in (
         ("stats", cmd_store_stats, "inventory + session counters"),
-        ("gc", cmd_store_gc, "remove orphan blobs and dead manifest entries"),
+        ("gc", cmd_store_gc, "remove stale tmp files"),
         ("verify", cmd_store_verify, "re-check every blob digest"),
     ):
         ps = store_sub.add_parser(name, help=help_text)
@@ -871,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
             ps.add_argument(
                 "--repair",
                 action="store_true",
-                help="delete corrupt blobs and fix the manifest",
+                help="delete corrupt blobs",
             )
         ps.set_defaults(func=func)
 

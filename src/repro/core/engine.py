@@ -37,9 +37,10 @@ With tracing off, the untraced fast path runs exactly the pre-existing
 code, so plan outputs are bit-identical with and without instrumentation.
 
 :class:`PlanTimings` is the instrumentation record attached to every
-:class:`~repro.core.plan.TopologyPlan`: a *view* over the planner's span
-tree (per-phase wall time, scenarios evaluated, hose-cache hit rate), so
-benchmarks and the CLI can report where planning time goes.
+planned :class:`~repro.core.plan.TopologyPlan`: a *view* over the
+planner's span tree (per-phase wall time, scenarios evaluated, hose
+lookups), so benchmarks and the CLI can report where planning time goes.
+It describes one run, so it is never part of a plan's encoding.
 """
 
 from __future__ import annotations
@@ -559,11 +560,11 @@ def map_in_chunks(
 
 @dataclass(frozen=True)
 class PlanTimings:
-    """Where Algorithm 1's wall time went (attached to every topology plan).
+    """Where Algorithm 1's wall time went (attached to a planned topology).
 
-    Since the :mod:`repro.obs` layer landed, the planner records its phases
-    as spans and this record is a *view* over the resulting span tree
-    (built by :meth:`from_record`); the public fields are unchanged.
+    The planner records its phases as spans and this record is a *view*
+    over the resulting span tree (built by :meth:`from_record`). It
+    describes one run: plans loaded from their encoding carry none.
 
     ``enumerate_s`` / ``capacity_s``
         Wall time of the scenario-path enumeration (per-scenario Dijkstra)
@@ -574,21 +575,20 @@ class PlanTimings:
         the two phases).
     ``scenarios_evaluated``
         Scenarios actually evaluated (after pruning).
-    ``hose_cache_hits`` / ``hose_cache_misses``
-        Hose max-flow cache traffic during the capacity phase, summed over
-        all worker processes.
+    ``hose_lookups``
+        Hose max-flow lookups of the capacity phase, counted by the
+        job's own chunks (one per scenario and used duct), so the count
+        does not depend on the worker count or on other jobs.
     ``backend`` / ``jobs``
-        Which execution backend ran the plan (``"serial"``, ``"process"``,
-        or ``"store"`` for a plan loaded from the store), with how many
-        workers.
+        Which execution backend ran the plan (``"serial"`` or
+        ``"process"``), with how many workers.
     """
 
     enumerate_s: float
     capacity_s: float
     total_s: float
     scenarios_evaluated: int
-    hose_cache_hits: int
-    hose_cache_misses: int
+    hose_lookups: int
     backend: str = "serial"
     jobs: int = 1
 
@@ -601,7 +601,7 @@ class PlanTimings:
         Phase wall times come from the ``plan.enumerate`` / ``plan.capacity``
         child spans; the authoritative counts come from the counters the
         planner sets on the record (``scenarios.evaluated``,
-        ``hose.cache_hits``, ``hose.cache_misses``).
+        ``capacity.hose_lookups``).
         """
         enum = record.child("plan.enumerate")
         capacity = record.child("plan.capacity")
@@ -611,38 +611,17 @@ class PlanTimings:
             capacity_s=capacity.duration_s if capacity else 0.0,
             total_s=record.duration_s,
             scenarios_evaluated=int(counters.get("scenarios.evaluated", 0)),
-            hose_cache_hits=int(counters.get("hose.cache_hits", 0)),
-            hose_cache_misses=int(counters.get("hose.cache_misses", 0)),
+            hose_lookups=int(counters.get("capacity.hose_lookups", 0)),
             backend=backend,
             jobs=jobs,
         )
 
-    @property
-    def hose_cache_hit_rate(self) -> float:
-        """Fraction of hose max-flow lookups served from cache."""
-        lookups = self.hose_cache_hits + self.hose_cache_misses
-        if lookups == 0:
-            return 0.0
-        return self.hose_cache_hits / lookups
-
     def summary(self) -> str:
-        """A one-line human-readable breakdown (used by the CLI).
-
-        A plan loaded from the store keeps only its scenario count and its
-        total hose lookups (see :mod:`repro.serialize`), so its line has
-        no wall times and no hit/miss split.
-        """
-        if self.backend == "store":
-            lookups = self.hose_cache_hits + self.hose_cache_misses
-            return (
-                f"loaded from the store: {self.scenarios_evaluated} scenarios, "
-                f"{lookups} hose lookups"
-            )
+        """A one-line human-readable breakdown (used by the CLI)."""
         return (
             f"{self.total_s:.2f} s total "
             f"(paths {self.enumerate_s:.2f} s, capacity {self.capacity_s:.2f} s), "
             f"{self.scenarios_evaluated} scenarios, "
-            f"hose cache hit rate {self.hose_cache_hit_rate:.0%} "
-            f"({self.hose_cache_misses} misses), "
+            f"{self.hose_lookups} hose lookups, "
             f"backend {self.backend} x{self.jobs}"
         )

@@ -11,12 +11,17 @@ A region plan asks for tens of thousands of these max-flows, and failure
 scenarios that differ by a duct cut or two mostly leave an edge the same
 pair set, so :func:`hose_capacity` memoizes the value per (pair set, DC
 capacities) in a bounded per-process cache; a miss solves from scratch
-(:func:`_hose_max_flow`).
+(:func:`_hose_max_flow`). Threads share the memo (the planner daemon's
+workers do): a hit is a plain dict read, and a miss evicts and inserts
+under the cache's own lock. The key holds the DC capacities, so a
+resized DC's lookups miss rather than collide, and its old entries age
+out through the FIFO bound.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -174,17 +179,20 @@ class _HoseCache:
     long-lived sweep worker's cache grows without an owner to clear it.
     This cache pins the PID it was created in and resets itself on first
     use in any other process, giving every worker its own bounded cache
-    and accurate per-process hit/miss counters (which the planner's
-    :class:`~repro.core.engine.PlanTimings` aggregates).
+    and per-process hit/miss counters (:func:`hose_cache_stats`). The
+    lock serializes the writers of one process (evict and insert on a
+    miss); a forked worker builds a fresh cache, lock included, so a lock
+    held at fork time cannot block it.
     """
 
-    __slots__ = ("entries", "hits", "misses", "pid")
+    __slots__ = ("entries", "hits", "misses", "pid", "lock")
 
     def __init__(self) -> None:
         self.entries: dict[tuple, int] = {}
         self.hits = 0
         self.misses = 0
         self.pid = os.getpid()
+        self.lock = threading.Lock()
 
 
 _cache = _HoseCache()
@@ -207,34 +215,14 @@ def clear_hose_cache() -> None:
     _cache = _HoseCache()
 
 
-def invalidate_hose_dcs(dcs: Iterable[str]) -> int:
-    """Drop every cached hose instance that involves any DC in ``dcs``.
-
-    Correctness never requires this: the memo keys every instance by its
-    DC *capacities* as well as its pair set (see :func:`hose_capacity`),
-    so a resized DC's lookups miss — rather than collide — by
-    construction. What stale entries do cost is memory in a long-lived
-    process: once a DC detaches or resizes, its old-capacity instances
-    can never be requested again, yet they occupy memo slots. The planner
-    service calls this when applying ``dc_detached``/``dc_resized``
-    deltas. Returns the number of entries dropped.
-    """
-    targets = {str(dc) for dc in dcs}
-    if not targets:
-        return 0
-    cache = _hose_cache()
-    dead = [
-        key
-        for key in cache.entries
-        if any(dc in targets for dc, _cap in key[1])
-    ]
-    for key in dead:
-        del cache.entries[key]
-    return len(dead)
-
-
 def hose_cache_stats() -> HoseCacheStats:
-    """Current-process cache counters (the engine's hit-rate hook)."""
+    """Current-process cache counters, over every thread's lookups.
+
+    A process-wide view for tests and benchmarks; the planner counts its
+    own lookups per job (:class:`~repro.core.engine.PlanTimings`). The
+    hit path takes no lock, so hits looked up by several threads at once
+    may be undercounted; a single thread's counts are exact.
+    """
     cache = _hose_cache()
     return HoseCacheStats(
         hits=cache.hits,
@@ -270,14 +258,15 @@ def hose_capacity(
         if obs.enabled():
             _record_lookup(value, hit=True)
         return value
-    cache.misses += 1
     value = _hose_max_flow(key[0], caps)
-    if len(cache.entries) >= CACHE_MAXSIZE:
-        # FIFO eviction: drop the oldest entry (dicts preserve insertion
-        # order); the planner's access pattern is bursty per scenario, so
-        # recency tracking buys nothing over this.
-        cache.entries.pop(next(iter(cache.entries)))
-    cache.entries[key] = value
+    with cache.lock:
+        cache.misses += 1
+        if len(cache.entries) >= CACHE_MAXSIZE:
+            # FIFO eviction: drop the oldest entry (dicts preserve
+            # insertion order); the planner's access pattern is bursty per
+            # scenario, so recency tracking buys nothing over this.
+            cache.entries.pop(next(iter(cache.entries)))
+        cache.entries[key] = value
     if obs.enabled():
         _record_lookup(value, hit=False)
     return value

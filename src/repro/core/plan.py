@@ -157,9 +157,10 @@ class TopologyPlan:
     ``scenario_count_total``
         How many raw scenarios the pruned enumeration stands for.
     ``timings``
-        Where planning wall time went (:class:`~repro.core.engine.PlanTimings`).
-        Instrumentation only: excluded from equality so serial and parallel
-        plans of the same region compare equal.
+        Where planning wall time went (:class:`~repro.core.engine.PlanTimings`);
+        ``None`` for a plan decoded from its encoding. Instrumentation
+        only: excluded from equality (serial and parallel plans of the
+        same region compare equal) and from every encoding.
     ``trace``
         The ``plan.topology`` span tree this plan was produced under
         (:class:`~repro.obs.SpanRecord`): coarse phase spans by default,

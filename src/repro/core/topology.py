@@ -39,7 +39,7 @@ from repro.core.engine import (
     worker_safe,
 )
 from repro.core.failures import Scenario
-from repro.core.hose import hose_cache_stats, hose_capacity
+from repro.core.hose import hose_capacity
 from repro.core.plan import Pair, TopologyPlan
 from repro.exceptions import InfeasibleRegionError
 from repro.region.fibermap import Duct, FiberMap, RegionSpec, duct_key, pair_key
@@ -376,15 +376,17 @@ def _capacity_chunk(
     optional :class:`DuctSizing` makes of it. Returns the chunk's (duct ->
     needed capacity, counters); the parent merges chunk results by
     per-duct maximum and counter sums, both order-independent, so the
-    merged result matches serial execution exactly. The ``hose.*``
-    counters are deltas of this process's hose cache.
+    merged result matches serial execution exactly. The chunk counts its
+    own hose lookups (``capacity.hose_lookups``), so no other job's
+    lookups reach them.
     """
     dc_fibers, sizing = shared
-    before = hose_cache_stats()
     counts: dict[str, float] = {}
     edge_capacity: dict[Duct, int] = {}
+    lookups = 0
     for paths in path_sets:
         crossing = _pairs_by_duct(paths)
+        lookups += len(crossing)
         # Sorted so the hose lookup order — and with it the cache's
         # FIFO eviction — is hash-seed independent. The merged
         # capacities never depended on this order.
@@ -395,12 +397,8 @@ def _capacity_chunk(
                 needed = sizing.size(oriented, needed, counts)
             if needed > edge_capacity.get(edge, 0):
                 edge_capacity[edge] = needed
-    after = hose_cache_stats()
-    hose_counts: dict[str, float] = {
-        "hose.cache_hits": after.hits - before.hits,
-        "hose.cache_misses": after.misses - before.misses,
-    }
-    return edge_capacity, obs.merge_counters(hose_counts, counts)
+    counts["capacity.hose_lookups"] = lookups
+    return edge_capacity, counts
 
 
 def plan_topology(

@@ -629,13 +629,14 @@ class _Declarations(ast.NodeVisitor):
         self._stack: list[tuple[str, str]] = []
 
     def _qualname(self, name: str) -> str:
-        parts: list[str] = []
-        for kind, entry in self._stack:
-            parts.append(entry)
-            if kind == "func":
-                parts.append("<locals>")
-        parts.append(name)
-        return ".".join(parts)
+        # Each stack entry is already a full qualname, so the innermost
+        # one is the whole prefix.
+        if not self._stack:
+            return name
+        kind, entry = self._stack[-1]
+        if kind == "func":
+            return f"{entry}.<locals>.{name}"
+        return f"{entry}.{name}"
 
     def _enclosing_func(self) -> str | None:
         for kind, entry in reversed(self._stack):

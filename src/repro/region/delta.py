@@ -234,19 +234,6 @@ class RegionDelta:
             )
         return replace(pricebook, **overrides)
 
-    def touched_dcs(self) -> frozenset[str]:
-        """DCs whose cached hose instances this delta may strand.
-
-        The hose cache keys every entry by (pair set, DC capacities), so
-        capacity changes *miss* — never collide — by construction; this
-        set exists for memory hygiene in long-lived processes (see
-        :func:`repro.core.hose.invalidate_hose_dcs`): a detached or
-        resized DC's old-capacity instances can never be requested again.
-        """
-        if self.kind in ("dc_detached", "dc_resized"):
-            return frozenset({str(self.dc)})
-        return frozenset()
-
     # -- canonical encoding --------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:

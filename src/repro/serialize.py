@@ -13,14 +13,13 @@ Regions round-trip exactly. Plans serialize two ways:
   encoding :mod:`repro.store` persists: a cached plan loaded back is
   bit-identical (``plan_to_json`` equality) to a freshly planned one.
 
-Instrumentation attached to a plan (:class:`~repro.core.engine.PlanTimings`
-and the :class:`~repro.obs.SpanRecord` trace) is handled explicitly rather
-than leaking through: the default summary includes only timing fields that
-are invariant to execution environment (scenario and hose-lookup counts),
-so serializing the same region's plan is byte-identical across repeated
-runs, worker counts, and cache warmth. Backend identity, the cache
-hit/miss split, wall-clock seconds, and the full span tree are opt-in via
-``include_runtime`` / ``include_trace``.
+The encoding is the plan and nothing else. Run statistics — the
+:class:`~repro.core.engine.PlanTimings` view and the
+:class:`~repro.obs.SpanRecord` trace attached to a planned topology —
+never enter it, so the same region's plan encodes to the same bytes
+whatever ran it, in whichever process, next to whatever other job. A
+decoded plan carries no timings (``--trace``/``--trace-json`` export
+traces through :mod:`repro.obs`).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import json
 from collections.abc import Mapping
 from typing import Any
 
-from repro.core.engine import PlanTimings
 from repro.core.failures import Scenario
 from repro.core.plan import (
     AmplifierPlan,
@@ -40,7 +38,6 @@ from repro.core.plan import (
     TopologyPlan,
 )
 from repro.exceptions import ReproError
-from repro.obs import record_to_dict
 from repro.region.fibermap import (
     Duct,
     FiberMap,
@@ -169,33 +166,6 @@ def _scenario_sort_key(scenario: Scenario) -> tuple[int, list[Duct]]:
     return (len(scenario), sorted(scenario))
 
 
-def timings_to_dict(
-    timings: PlanTimings, *, include_runtime: bool = False
-) -> dict[str, Any]:
-    """Explicit serialization of a plan's timing instrumentation.
-
-    The default output holds only fields invariant to the execution
-    environment: scenario count and total hose lookups (the cache
-    hit/miss *split* shifts with worker count and cache warmth, but
-    their sum does not). ``include_runtime`` adds the run-specific
-    fields — backend identity, the hit/miss split, and wall-clock
-    seconds — so audit files diff cleanly by default.
-    """
-    out: dict[str, Any] = {
-        "scenarios_evaluated": timings.scenarios_evaluated,
-        "hose_lookups": timings.hose_cache_hits + timings.hose_cache_misses,
-    }
-    if include_runtime:
-        out["backend"] = timings.backend
-        out["jobs"] = timings.jobs
-        out["hose_cache_hits"] = timings.hose_cache_hits
-        out["hose_cache_misses"] = timings.hose_cache_misses
-        out["enumerate_s"] = timings.enumerate_s
-        out["capacity_s"] = timings.capacity_s
-        out["total_s"] = timings.total_s
-    return out
-
-
 def _scenario_paths_to_list(
     scenario_paths: Mapping[Scenario, Mapping[Pair, tuple[str, ...]]],
 ) -> list[dict[str, Any]]:
@@ -232,10 +202,9 @@ def topology_to_dict(topology: TopologyPlan) -> dict[str, Any]:
 
     Used by :mod:`repro.store` for artifacts that carry a bare topology
     (the EPS design, the sweep's tolerance-0 baseline) rather than a full
-    Iris plan. Environment-invariant: only the invariant timing fields
-    are kept (see :func:`timings_to_dict`).
+    Iris plan.
     """
-    out: dict[str, Any] = {
+    return {
         "format_version": FORMAT_VERSION,
         "edge_capacity": {
             _duct_str(duct): cap
@@ -244,9 +213,6 @@ def topology_to_dict(topology: TopologyPlan) -> dict[str, Any]:
         "scenario_paths": _scenario_paths_to_list(topology.scenario_paths),
         "scenarios_total": topology.scenario_count_total,
     }
-    if topology.timings is not None:
-        out["timings"] = timings_to_dict(topology.timings)
-    return out
 
 
 def topology_from_dict(data: dict[str, Any]) -> TopologyPlan:
@@ -262,32 +228,19 @@ def topology_from_dict(data: dict[str, Any]) -> TopologyPlan:
             },
             scenario_paths=_scenario_paths_from_list(data["scenario_paths"]),
             scenario_count_total=int(data["scenarios_total"]),
-            timings=_timings_from_dict(data.get("timings")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ReproError(f"malformed topology data: {exc}") from exc
 
 
-def plan_to_dict(
-    plan: IrisPlan,
-    *,
-    include_trace: bool = False,
-    include_runtime: bool = False,
-    full: bool = False,
-) -> dict[str, Any]:
+def plan_to_dict(plan: IrisPlan, *, full: bool = False) -> dict[str, Any]:
     """Audit summary of an Iris plan.
-
-    Timings and the span trace never leak implicitly: the ``timings``
-    block carries environment-invariant fields only (see
-    :func:`timings_to_dict`), and the full span tree appears solely when
-    ``include_trace=True``.
 
     ``full=True`` additionally embeds the region, every scenario's
     shortest paths, the amplifier assignments, and the effective paths —
     everything :func:`plan_from_dict` needs to reconstruct the complete
-    :class:`IrisPlan` without replanning. The full form is still
-    environment-invariant by default (no wall times, no trace), so the
-    same plan always encodes to the same bytes.
+    :class:`IrisPlan` without replanning. Neither form holds run
+    statistics, so the same plan always encodes to the same bytes.
     """
     out: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
@@ -310,14 +263,6 @@ def plan_to_dict(
         "scenarios_total": plan.topology.scenario_count_total,
         "total_fiber_pair_spans": plan.total_fiber_pair_spans(),
     }
-    if plan.topology.timings is not None:
-        out["timings"] = timings_to_dict(
-            plan.topology.timings, include_runtime=include_runtime
-        )
-    if include_trace and plan.topology.trace is not None:
-        out["trace"] = record_to_dict(
-            plan.topology.trace, include_durations=include_runtime
-        )
     if full:
         out["region"] = region_to_dict(plan.region)
         out["scenario_paths"] = _scenario_paths_to_list(
@@ -352,46 +297,10 @@ def plan_to_dict(
 
 
 def plan_to_json(
-    plan: IrisPlan,
-    *,
-    indent: int | None = 2,
-    include_trace: bool = False,
-    include_runtime: bool = False,
-    full: bool = False,
+    plan: IrisPlan, *, indent: int | None = 2, full: bool = False
 ) -> str:
-    """Serialize a plan summary to JSON (deterministic by default)."""
-    return json.dumps(
-        plan_to_dict(
-            plan,
-            include_trace=include_trace,
-            include_runtime=include_runtime,
-            full=full,
-        ),
-        indent=indent,
-    )
-
-
-def _timings_from_dict(data: dict[str, Any] | None) -> PlanTimings | None:
-    """The environment-invariant :class:`PlanTimings` view of a stored plan.
-
-    Wall times and the cache hit/miss split are run artifacts that the
-    full encoding deliberately omits; the reconstruction keeps the two
-    invariant fields (scenario count, total hose lookups) and zeroes the
-    rest, labelling the backend ``"store"`` so runtime-opted-in audits can
-    tell a loaded plan from a planned one.
-    """
-    if data is None:
-        return None
-    return PlanTimings(
-        enumerate_s=0.0,
-        capacity_s=0.0,
-        total_s=0.0,
-        scenarios_evaluated=int(data.get("scenarios_evaluated", 0)),
-        hose_cache_hits=0,
-        hose_cache_misses=int(data.get("hose_lookups", 0)),
-        backend="store",
-        jobs=1,
-    )
+    """Serialize a plan summary to JSON (deterministic)."""
+    return json.dumps(plan_to_dict(plan, full=full), indent=indent)
 
 
 def plan_from_dict(data: dict[str, Any]) -> IrisPlan:
@@ -401,7 +310,8 @@ def plan_from_dict(data: dict[str, Any]) -> IrisPlan:
     amplifiers, cut-throughs, residual fibers, effective paths — from the
     lossless encoding. Summary-only dicts (without the ``full=True``
     fields) raise :class:`ReproError`: a summary is an audit artifact,
-    not a plan.
+    not a plan. The decoded plan carries no timings, and a ``timings``
+    key left in an older encoding is ignored.
     """
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -423,7 +333,6 @@ def plan_from_dict(data: dict[str, Any]) -> IrisPlan:
             edge_capacity=edge_capacity,
             scenario_paths=scenario_paths,
             scenario_count_total=int(data["scenarios_total"]),
-            timings=_timings_from_dict(data.get("timings")),
         )
         amplifiers = AmplifierPlan(
             site_counts={

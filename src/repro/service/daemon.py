@@ -29,15 +29,16 @@ Every job outcome is counted (``queued``/``coalesced``/``store``/
 and mirrored into :mod:`repro.obs` under ``service.*``, so the stampede
 and smoke tests can assert "exactly one cold plan" from the counters.
 
-Result payloads are normalized once per job —
-``json.dumps(plan_dict, sort_keys=True, separators=(",", ":"))`` over the
-``full=True`` plan encoding — and fanned out verbatim, so coalesced
-clients receive bit-identical bytes by construction.
+Each job builds its plan's ``full=True`` dict once, serves
+:func:`~repro.store.canonical_json` of it verbatim to every coalesced
+client (bit-identical bytes by construction) and stores the same dict.
+The encoding holds no run statistics, so the bytes do not depend on
+which worker thread planned the job or on what another worker did
+meanwhile.
 """
 
 from __future__ import annotations
 
-import json
 import queue
 import socket
 import threading
@@ -61,7 +62,7 @@ from repro.service.protocol import (
     read_message,
 )
 from repro.service.replan import DeltaStats, apply_delta
-from repro.store import PlanStore
+from repro.store import PlanStore, canonical_json
 from repro.store.keys import service_request_key
 
 #: Counter names the service maintains (all mirrored as ``service.<name>``
@@ -155,11 +156,6 @@ class _Job:
         if self.error is not None:
             out["error"] = self.error
         return out
-
-
-def _canonical(payload: dict[str, Any]) -> str:
-    """The one result encoding: compact, sorted, bit-stable."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _drain_timeout(request: dict[str, Any]) -> float:
@@ -530,7 +526,8 @@ class PlannerService:
         job.token = CancelToken(self.config.job_timeout_s)
         try:
             plan, outcome, stats = self._resolve(job)
-            job.result_json = _canonical(plan_to_dict(plan, full=True))
+            encoded = plan_to_dict(plan, full=True)
+            job.result_json = canonical_json(encoded)
             job.outcome = outcome
             if stats is not None:
                 job.delta_stats = {
@@ -545,9 +542,7 @@ class PlannerService:
                 while len(self._plans) > max(1, self.config.keep_results):
                     self._plans.popitem(last=False)
             if self.store is not None and outcome != "store":
-                self.store.put(
-                    job.key, plan_to_dict(plan, full=True), kind="plan"
-                )
+                self.store.put(job.key, encoded, kind="plan")
             job.state = "done"
             if outcome in ("patched", "cold"):
                 self._incr(outcome)  # "store" was counted in _resolve

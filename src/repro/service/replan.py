@@ -63,7 +63,10 @@ Everything the oracle declines is recomputed cold by the normal backend
 fan-out; the capacity phase then runs unmodified over the (identical)
 path sets, served by the per-process hose cache, which the old plan's
 run left warm for exactly these instances; only the genuinely new flow
-graphs are solved.
+graphs are solved. Nothing is evicted from that cache here: it keys each
+instance by the DC capacities too, so a resized or detached DC's old
+entries are never hit again and age out through its FIFO bound, and a
+patch running next to other jobs never mutates state they read.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ from dataclasses import dataclass
 from repro import obs
 from repro.core.engine import CancelToken
 from repro.core.failures import Scenario
-from repro.core.hose import invalidate_hose_dcs
 from repro.core.plan import IrisPlan, Pair, TopologyPlan
 from repro.core.planner import IrisPlanner
 from repro.core.topology import (
@@ -327,10 +329,6 @@ def apply_delta(
         return plan
 
     new_region = delta.apply_to_region(plan.region)
-    # Memory hygiene: a detached/resized DC's old-capacity hose entries
-    # can never be requested again (capacities are part of the key).
-    invalidate_hose_dcs(delta.touched_dcs())
-
     oracle = _build_oracle(plan, plan.region, new_region)
     with obs.span("service.apply_delta") as span:
         topology = plan_topology(

@@ -11,10 +11,10 @@ goal needs:
   digests (the addressing substrate);
 * :mod:`repro.store.keys` — input-addressed artifact keys with schema
   version stamps for invalidation-by-construction;
-* :mod:`repro.store.cas` — the on-disk store: atomic tmp+rename blob
-  writes, an advisory index manifest, digest re-verification on every
-  read (corruption degrades to a miss, never a crash), and the
-  ``get``/``put``/``gc``/``stats``/``verify`` API.
+* :mod:`repro.store.cas` — the on-disk store: one atomic tmp+rename
+  blob write per artifact and no index beside the blobs, digest
+  re-verification on every read (corruption degrades to a miss, never a
+  crash), and the ``get``/``put``/``gc``/``stats``/``verify`` API.
 
 Typical use::
 

@@ -1,24 +1,27 @@
-"""The on-disk content-addressed store: atomic blobs + an index manifest.
+"""The on-disk content-addressed store: one atomic blob per artifact.
 
 Layout under the store root::
 
     <root>/
-      index.json                    # the manifest: key -> {kind, size, sha}
       objects/<k[:2]>/<key>.json    # one blob per artifact key
 
-Every blob is a self-verifying envelope — the canonical JSON of
-``{"key", "kind", "content_sha256", "payload"}`` — so a read needs nothing
-but the file: the payload's content digest is recomputed and compared on
-every :meth:`PlanStore.get`. Any mismatch, torn write, or unparseable file
-degrades to a **miss**, never a crash or a wrong hit; the caller replans
-and the next :meth:`~PlanStore.put` heals the entry.
+There is no index: the blob files are the store. Every blob is a
+self-verifying envelope — the canonical JSON of ``{"content_sha256",
+"key", "kind", "payload"}``, keys in that (sorted) order — so a read needs
+nothing but the file: the payload's content digest is recomputed and
+compared on every :meth:`PlanStore.get`. Any mismatch, torn write, or
+unparseable file degrades to a **miss**, never a crash or a wrong hit;
+the caller replans and the next :meth:`~PlanStore.put` heals the entry.
+:meth:`~PlanStore.stats` reads each blob's ``kind`` from the head of its
+envelope, which the key order puts before the payload.
 
-Crash safety is the whole design: all writes go to a same-directory tmp
-file and land via ``os.replace`` (atomic on POSIX), an invariant reprolint
-rule R008 machine-checks for this package. The manifest is an *advisory*
-index — reads never require it, so a lost manifest update under concurrent
-writers costs at most a ``gc``-collectable orphan, and two processes
-putting the same key converge on identical bytes.
+Crash safety is the whole design: a :meth:`~PlanStore.put` is one write
+to a same-directory tmp file that lands via ``os.replace`` (atomic on
+POSIX), an invariant reprolint rule R008 machine-checks for this package.
+Writers share no file but their own blob, so concurrent writers of
+distinct keys never lose one another's work, and two writers putting the
+same key converge on identical bytes. A crash can leave a stale ``*.tmp``
+file behind; :meth:`~PlanStore.gc` removes those.
 
 Observability: ``get``/``put``/``gc``/``verify`` run under
 :mod:`repro.obs` spans (I/O wall time) and bump ``store.hits``,
@@ -40,17 +43,21 @@ from typing import Any
 from repro import obs
 from repro.exceptions import ReproError
 from repro.store.canonical import canonical_json, sha256_hex
-from repro.store.keys import STORE_SCHEMA_VERSION
 
 _KEY_HEX_LEN = 64
+
+#: What separates an envelope's head (digest, key, kind) from its payload.
+_PAYLOAD_FIELD = ',"payload":'
+
+#: How much of a blob :meth:`PlanStore.stats` reads to find its kind.
+_HEAD_BYTES = 4096
 
 
 @dataclass(frozen=True)
 class GcResult:
     """What one :meth:`PlanStore.gc` pass removed."""
 
-    removed_blobs: int
-    dropped_entries: int
+    removed_tmp: int
     reclaimed_bytes: int
 
 
@@ -59,11 +66,9 @@ class StoreStats:
     """A store's persistent inventory plus this process's session traffic."""
 
     root: str
-    entries: int
     blobs: int
     total_bytes: int
     kinds: dict[str, int]
-    orphan_blobs: int
     hits: int
     misses: int
     puts: int
@@ -74,11 +79,9 @@ class StoreStats:
         """Plain-dict form (the ``iris store stats --json`` payload)."""
         return {
             "root": self.root,
-            "entries": self.entries,
             "blobs": self.blobs,
             "total_bytes": self.total_bytes,
             "kinds": dict(sorted(self.kinds.items())),
-            "orphan_blobs": self.orphan_blobs,
             "session": {
                 "hits": self.hits,
                 "misses": self.misses,
@@ -113,6 +116,28 @@ def _atomic_write_text(path: Path, text: str) -> None:
             tmp.unlink(missing_ok=True)
 
 
+def _blob_kind(path: Path) -> str | None:
+    """The ``kind`` in a blob's envelope head, or ``None`` if unreadable.
+
+    The head ends where the payload field starts: a ``"`` inside a JSON
+    string is always escaped, so the first ``,"payload":`` is the field.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            prefix = handle.read(_HEAD_BYTES)
+    except (OSError, UnicodeDecodeError):
+        return None
+    end = prefix.find(_PAYLOAD_FIELD)
+    if end < 0:
+        return None
+    try:
+        head = json.loads(prefix[:end] + "}")
+    except json.JSONDecodeError:
+        return None
+    kind = head.get("kind") if isinstance(head, dict) else None
+    return kind if isinstance(kind, str) else None
+
+
 class PlanStore:
     """A content-addressed artifact store rooted at one directory.
 
@@ -132,11 +157,6 @@ class PlanStore:
 
     # -- paths ---------------------------------------------------------------
 
-    @property
-    def manifest_path(self) -> Path:
-        """The advisory index file."""
-        return self.root / "index.json"
-
     def blob_path(self, key: str) -> Path:
         """Where the blob for ``key`` lives (whether or not it exists)."""
         self._check_key(key)
@@ -148,38 +168,6 @@ class PlanStore:
             c not in "0123456789abcdef" for c in key
         ):
             raise ReproError(f"malformed store key {key!r}")
-
-    # -- manifest ------------------------------------------------------------
-
-    def _load_manifest(self) -> dict[str, dict[str, Any]]:
-        """The manifest's entry map; tolerant of absence and corruption.
-
-        A missing or unreadable manifest is an empty index, not an error:
-        blobs are self-verifying, so the worst case is ``stats`` and
-        ``gc`` seeing orphans until the next ``put`` rewrites it.
-        """
-        try:
-            data = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return {}
-        if (
-            not isinstance(data, dict)
-            or data.get("store_schema") != STORE_SCHEMA_VERSION
-            or not isinstance(data.get("entries"), dict)
-        ):
-            return {}
-        return data["entries"]
-
-    def _write_manifest(self, entries: dict[str, dict[str, Any]]) -> None:
-        _atomic_write_text(
-            self.manifest_path,
-            canonical_json(
-                {
-                    "store_schema": STORE_SCHEMA_VERSION,
-                    "entries": dict(sorted(entries.items())),
-                }
-            ),
-        )
 
     # -- core API ------------------------------------------------------------
 
@@ -234,28 +222,17 @@ class PlanStore:
     def put(self, key: str, payload: dict[str, Any], kind: str = "artifact") -> str:
         """Store ``payload`` under ``key`` (idempotent; returns ``key``).
 
-        The blob lands atomically before the manifest entry does, so a
-        crash between the two leaves a readable blob the next manifest
-        write or ``verify --repair`` re-indexes.
+        The payload is encoded and hashed once; its text is wrapped in the
+        envelope as is, which gives the same bytes as encoding the whole
+        envelope. The blob lands in one atomic write.
         """
         with obs.span("store.put") as span:
             text = canonical_json(payload)
-            envelope = canonical_json(
-                {
-                    "key": key,
-                    "kind": kind,
-                    "content_sha256": sha256_hex(text),
-                    "payload": payload,
-                }
+            head = canonical_json(
+                {"content_sha256": sha256_hex(text), "key": key, "kind": kind}
             )
+            envelope = f"{head[:-1]}{_PAYLOAD_FIELD}{text}}}"
             _atomic_write_text(self.blob_path(key), envelope)
-            entries = self._load_manifest()
-            entries[key] = {
-                "kind": kind,
-                "size": len(envelope),
-                "content_sha256": sha256_hex(text),
-            }
-            self._write_manifest(entries)
             self.puts += 1
             span.incr("store.puts")
             span.incr("store.bytes_written", len(envelope))
@@ -268,55 +245,37 @@ class PlanStore:
         return sorted(objects.glob("*/*.json"))
 
     def gc(self) -> GcResult:
-        """Collect garbage: orphan blobs, stale tmp files, dead entries.
+        """Remove the stale ``*.tmp`` files crashed writers left behind.
 
-        The manifest is the root set — blobs without a manifest entry are
-        removed (they are at worst re-creatable cache entries), manifest
-        entries without a blob are dropped. Counts ``store.evictions``
-        per removed blob.
+        Every blob is a live entry (there is no index to fall out of), so
+        ``gc`` never removes one; ``verify(repair=True)`` deletes corrupt
+        blobs. Counts ``store.evictions`` per removed file.
         """
         with obs.span("store.gc") as span:
-            entries = self._load_manifest()
+            objects = self.root / "objects"
+            stale_tmp = sorted(objects.glob("*/*.tmp")) if objects.is_dir() else []
             removed = 0
             reclaimed = 0
-            seen: set[str] = set()
-            for path in self._blob_files():
-                key = path.stem
-                if key in entries:
-                    seen.add(key)
-                    continue
+            for path in stale_tmp:
                 try:
-                    reclaimed += path.stat().st_size
+                    size = path.stat().st_size
                     path.unlink()
                 except OSError:
                     continue
                 removed += 1
-            objects = self.root / "objects"
-            stale_tmp = sorted(objects.glob("*/*.tmp")) if objects.is_dir() else []
-            for path in stale_tmp:
-                path.unlink(missing_ok=True)
-            dropped = len(entries) - len(seen)
-            if dropped:
-                self._write_manifest(
-                    {key: entries[key] for key in sorted(seen)}
-                )
+                reclaimed += size
             self.evictions += removed
             span.incr("store.evictions", removed)
-        return GcResult(
-            removed_blobs=removed,
-            dropped_entries=dropped,
-            reclaimed_bytes=reclaimed,
-        )
+        return GcResult(removed_tmp=removed, reclaimed_bytes=reclaimed)
 
     def verify(self, *, repair: bool = False) -> list[str]:
         """Check every blob against its digest; list the problems found.
 
-        With ``repair=True`` corrupt blobs are deleted and their manifest
-        entries dropped (so they become ordinary misses); without it the
-        store is left untouched — ``get`` already refuses to return them.
+        With ``repair=True`` corrupt blobs are deleted (so they become
+        ordinary misses); without it the store is left untouched — ``get``
+        already refuses to return them.
         """
         with obs.span("store.verify"):
-            entries = self._load_manifest()
             problems: list[str] = []
             bad_keys: list[str] = []
             for path in self._blob_files():
@@ -330,40 +289,35 @@ class PlanStore:
                 if self._verified_payload(key, text) is None:
                     problems.append(f"{key}: digest mismatch or malformed envelope")
                     bad_keys.append(key)
-                elif key not in entries:
-                    problems.append(f"{key}: valid blob missing from manifest")
-            for key in sorted(set(entries) - {p.stem for p in self._blob_files()}):
-                problems.append(f"{key}: manifest entry without blob")
             if repair and bad_keys:
                 for key in bad_keys:
                     self.blob_path(key).unlink(missing_ok=True)
-                    entries.pop(key, None)
-                self._write_manifest(entries)
                 self.corrupt += len(bad_keys)
         return problems
 
     def stats(self) -> StoreStats:
-        """Inventory the store on disk plus this instance's session traffic."""
-        entries = self._load_manifest()
+        """Inventory the store on disk plus this instance's session traffic.
+
+        ``kinds`` counts blobs by the ``kind`` in their envelope head; a
+        blob whose head does not parse counts in ``blobs`` only (``verify``
+        names it).
+        """
         blobs = self._blob_files()
         kinds: dict[str, int] = {}
-        for meta in entries.values():
-            kind = str(meta.get("kind", "artifact"))
-            kinds[kind] = kinds.get(kind, 0) + 1
         total_bytes = 0
         for path in blobs:
             try:
                 total_bytes += path.stat().st_size
             except OSError:
                 continue
-        orphans = sum(1 for path in blobs if path.stem not in entries)
+            kind = _blob_kind(path)
+            if kind is not None:
+                kinds[kind] = kinds.get(kind, 0) + 1
         return StoreStats(
             root=str(self.root),
-            entries=len(entries),
             blobs=len(blobs),
             total_bytes=total_bytes,
             kinds=kinds,
-            orphan_blobs=orphans,
             hits=self.hits,
             misses=self.misses,
             puts=self.puts,
@@ -373,3 +327,4 @@ class PlanStore:
 
     def __repr__(self) -> str:
         return f"PlanStore({str(self.root)!r})"
+

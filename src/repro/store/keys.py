@@ -23,10 +23,12 @@ from repro.region.fibermap import RegionSpec
 from repro.serialize import FORMAT_VERSION, region_to_dict
 from repro.store.canonical import digest
 
-#: Bump when the store's on-disk layout or key envelope changes shape;
-#: old entries then miss (and are collectable with ``gc``) instead of
-#: being misread.
-STORE_SCHEMA_VERSION = 1
+#: Bump when the store's on-disk layout, key envelope or stored payloads
+#: change shape; old entries then miss instead of being misread (their
+#: blobs stay on disk until the store directory is removed). Version 2:
+#: plan and topology payloads hold no ``timings`` block, and the store
+#: keeps no index manifest.
+STORE_SCHEMA_VERSION = 2
 
 
 def artifact_key(kind: str, inputs: dict[str, Any]) -> str:

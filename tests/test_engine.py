@@ -248,8 +248,7 @@ class TestPlanTimings:
         assert isinstance(t, PlanTimings)
         assert t.scenarios_evaluated == len(plan.scenario_paths)
         assert t.total_s >= t.enumerate_s + t.capacity_s - 1e-6
-        assert t.hose_cache_misses >= 1
-        assert 0.0 <= t.hose_cache_hit_rate <= 1.0
+        assert t.hose_lookups >= 1
         assert t.backend == "serial" and t.jobs == 1
 
     def test_summary_is_one_line(self, toy_region):
@@ -257,6 +256,7 @@ class TestPlanTimings:
         summary = t.summary()
         assert "\n" not in summary
         assert "scenarios" in summary and "backend serial" in summary
+        assert f"{t.hose_lookups} hose lookups" in summary
 
 
 class TestCancelToken:

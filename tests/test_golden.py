@@ -23,7 +23,7 @@ from repro.core.topology import plan_topology
 from repro.cost.estimator import estimate_cost
 from repro.designs.eps import eps_inventory
 from repro.region.catalog import make_region
-from repro.serialize import plan_to_dict
+from repro.serialize import plan_to_dict, plan_to_json
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +83,16 @@ class TestGoldenObservability:
         plan, _ = traced_plan
         timings = plan.topology.timings
         assert timings.scenarios_evaluated == 217
-        assert timings.hose_cache_hits == 4355  # capacity phase, cold cache
-        assert timings.hose_cache_misses == 78
+        assert timings.hose_lookups == 4433  # the capacity phase's own count
+
+    def test_capacity_phase_hit_miss_split(self, traced_plan):
+        """The capacity phase from a cold cache: its per-lookup events
+        give the exact hit/miss split of this job's lookups."""
+        _, record = traced_plan
+        (capacity,) = [r for r in record.walk() if r.name == "plan.capacity"]
+        assert capacity.total("hose.cache_hit") == 4355
+        assert capacity.total("hose.cache_miss") == 78
+        assert capacity.total("hose.lookups") == 4433
 
     def test_trace_work_totals(self, traced_plan):
         _, record = traced_plan
@@ -145,16 +153,16 @@ def _canonical_digest(plan) -> str:
 
 #: (map, DCs) -> canonical digest prefix of the catalog region's plan.
 GOLDEN_DIGESTS = {
-    (0, 4): "3cbb46ff3cf14cfe",
-    (0, 5): "7dcdb425be375f6b",
-    (1, 5): "b3cb113b6dd1af88",
-    (2, 5): "27667e9e3401f96a",
-    (3, 5): "c368bc88e7d4de52",
-    (0, 6): "2e3d91bb859f6b5a",
-    (1, 6): "87ef8d778f769e40",
-    (2, 6): "2b624e9a80b37a49",
-    (3, 6): "c788b80e90519c60",
-    (5, 6): "fd1bdd0cf5edb79f",  # 3 cut-through links, one partial step
+    (0, 4): "e2d8685b0b4be693",
+    (0, 5): "0c223340f2bc98dc",
+    (1, 5): "5d593ae16e7a3fac",
+    (2, 5): "5f65d5fb9ac13ccd",
+    (3, 5): "dcdbf0c15528a710",
+    (0, 6): "172fe1e3c9aea0da",
+    (1, 6): "2bd9da584e73bb27",
+    (2, 6): "f570350b0338adf3",
+    (3, 6): "0b9fcb9ab196c157",
+    (5, 6): "96f9dab503f1094f",  # 3 cut-through links, one partial step
 }
 
 
@@ -180,6 +188,14 @@ class TestGoldenPlanBytes:
     @pytest.mark.parametrize("cell", [(0, 5), (1, 6), (5, 6)])
     def test_parallel_plan_bytes(self, cell):
         assert self._digest(cell, jobs=2)[:16] == GOLDEN_DIGESTS[cell]
+
+    def test_summary_bytes(self, golden_plan):
+        """The audit summary (``plan_to_json``) of the golden plan."""
+        _, plan = golden_plan
+        text = plan_to_json(plan)
+        assert "timings" not in json.loads(text)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest[:16] == "aae0bc1a8ef0bca1"
 
 
 class TestCutThroughOnlyAblation:
@@ -210,4 +226,4 @@ class TestCutThroughOnlyAblation:
             residual={},
             effective_paths=paths,
         )
-        assert _canonical_digest(plan)[:16] == "9fa77136144ab21f"
+        assert _canonical_digest(plan)[:16] == "57cc4e741977358d"

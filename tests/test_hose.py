@@ -1,6 +1,8 @@
 """Hose-model max-flow capacity (§4.1, [29]) and its per-process memo."""
 
 import random
+import sys
+import threading
 
 from hypothesis import given, settings, strategies as st
 
@@ -222,6 +224,41 @@ class TestCacheConfiguration:
         assert hose_cache_stats().hits == 4
         hose_capacity([singles[0]], caps)
         assert hose_cache_stats().misses == 11
+        clear_hose_cache()
+
+
+    def test_threads_evicting_at_once_never_raise(self, monkeypatch):
+        """Four threads of distinct lookups keep a 4-entry memo evicting:
+        each miss evicts and inserts under the cache's lock."""
+        monkeypatch.setattr(hose, "CACHE_MAXSIZE", 4)
+        clear_hose_cache()
+        errors: list[BaseException] = []
+
+        def lookups(thread):
+            try:
+                for n in range(20_000):
+                    caps = {"A": 1 + n, "B": thread + 1}
+                    assert hose_capacity([("A", "B")], caps) == min(
+                        n + 1, thread + 1
+                    )
+            except BaseException as exc:  # collected, asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=lookups, args=(t,)) for t in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: races show
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert hose_cache_stats().size <= 4
         clear_hose_cache()
 
 

@@ -221,6 +221,49 @@ def plan(items):
         assert findings == []
 
 
+class TestNestedHelpers:
+    """Helpers nested in a function or a method call one another like
+    module-level functions do: the effect reaches every caller."""
+
+    IN_FUNCTION = """\
+import random
+
+
+def f():
+    def a():
+        random.seed(7)
+
+    def b():
+        a()
+
+    b()
+"""
+    IN_METHOD = """\
+import random
+
+
+class C:
+    def m(self):
+        def a():
+            random.seed(7)
+
+        def b():
+            a()
+
+        b()
+"""
+
+    @pytest.mark.parametrize(
+        "source", [IN_FUNCTION, IN_METHOD], ids=["function", "method"]
+    )
+    def test_calls_between_sibling_helpers_resolve(self, source):
+        findings = only_project("R001", [("pkg/mod.py", source)])
+        messages = [f.message for f in findings]
+        assert len(findings) == 3, messages
+        assert any("`a()`" in m for m in messages), messages
+        assert any("`b()`" in m for m in messages), messages
+
+
 class TestR004ArgumentFlow:
     def test_unordered_value_passed_to_order_sensitive_callee(self):
         source = """\

@@ -74,10 +74,7 @@ class TestJobsParity:
         plan1, _, plan2, _ = traces
         t1, t2 = plan1.topology.timings, plan2.topology.timings
         assert t1.scenarios_evaluated == t2.scenarios_evaluated
-        assert (
-            t1.hose_cache_hits + t1.hose_cache_misses
-            == t2.hose_cache_hits + t2.hose_cache_misses
-        )
+        assert t1.hose_lookups == t2.hose_lookups > 0
         assert (t1.backend, t1.jobs) == ("serial", 1)
         assert (t2.backend, t2.jobs) == ("process", 2)
 

@@ -84,49 +84,30 @@ class TestPlanSummaryWithAmplifiers:
 
 
 class TestInstrumentedPlanSerialization:
-    """Plans carry timings and (sometimes) a span trace; the audit JSON
-    must stay deterministic by default and expose both only explicitly."""
+    """Plans carry timings and a span trace; neither enters the encoding."""
 
     def test_default_json_is_deterministic_across_runs(self, toy_region):
         # Second plan hits a warm hose cache and a different-looking trace;
-        # neither may leak into the default audit output.
+        # neither may leak into the audit output.
         first = plan_to_json(plan_region(toy_region))
         second = plan_to_json(plan_region(toy_region))
         assert first == second
 
-    def test_default_timings_block_is_environment_invariant(self, toy_region):
-        data = plan_to_dict(plan_region(toy_region))
-        assert set(data["timings"]) == {"scenarios_evaluated", "hose_lookups"}
-        assert data["timings"]["scenarios_evaluated"] == data["scenarios_enumerated"]
-        assert "trace" not in data
+    def test_encodings_hold_no_run_statistics(self, toy_region):
+        from repro.serialize import topology_to_dict
 
-    def test_runtime_fields_opt_in(self, toy_region):
         plan = plan_region(toy_region)
-        data = plan_to_dict(plan, include_runtime=True)
-        timings = data["timings"]
-        assert timings["backend"] == "serial" and timings["jobs"] == 1
-        assert (
-            timings["hose_cache_hits"] + timings["hose_cache_misses"]
-            == timings["hose_lookups"]
-        )
-        assert timings["total_s"] >= 0.0
-
-    def test_trace_opt_in_and_round_trips(self, toy_region):
-        from repro.obs import record_from_dict, record_to_dict
-
-        plan_region(toy_region)  # warm the hose cache: stable hit counters
-        data = plan_to_dict(plan_region(toy_region), include_trace=True)
-        assert data["trace"]["name"] == "plan.topology"
-        # Without runtime fields the trace is deterministic content...
-        again = plan_to_dict(plan_region(toy_region), include_trace=True)
-        assert data["trace"] == again["trace"]
-        # ...and reconstructs to an equivalent span tree.
-        restored = record_from_dict(data["trace"])
-        assert record_to_dict(restored, include_durations=False) == data["trace"]
+        assert plan.topology.timings is not None
+        for data in (
+            plan_to_dict(plan),
+            plan_to_dict(plan, full=True),
+            topology_to_dict(plan.topology),
+        ):
+            assert "timings" not in data and "trace" not in data
 
     def test_traced_plan_serializes_cleanly(self, toy_region):
         # A plan produced under global tracing has a much richer trace
-        # attached; default serialization must still match the untraced one.
+        # attached; serialization must still match the untraced one.
         from repro import obs
         from repro.core.hose import clear_hose_cache
 
@@ -193,13 +174,19 @@ class TestFullPlanRoundTrip:
         with pytest.raises(ReproError, match="malformed"):
             plan_from_dict(encoded)
 
-    def test_loaded_timings_are_environment_invariant(self, toy_region):
+    def test_decoded_plan_has_no_timings(self, toy_region):
         restored = plan_from_dict(
             plan_to_dict(plan_region(toy_region), full=True)
         )
-        timings = restored.topology.timings
-        assert timings is not None and timings.backend == "store"
-        assert timings.total_s == 0.0
+        assert restored.topology.timings is None
+
+    def test_leftover_timings_key_is_ignored(self, toy_region):
+        """An encoding written before timings left the bytes still loads."""
+        encoded = plan_to_dict(plan_region(toy_region), full=True)
+        old = dict(encoded, timings={"scenarios_evaluated": 1, "hose_lookups": 2})
+        restored = plan_from_dict(old)
+        assert restored.topology.timings is None
+        assert plan_to_dict(restored, full=True) == encoded
 
 
 class TestTopologyRoundTrip:

@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import threading
 
 import pytest
 
 from repro import obs
+from repro.core.hose import clear_hose_cache, hose_capacity
+from repro.core.planner import plan_region
 from repro.exceptions import ServiceError
+from repro.region.catalog import make_region
 from repro.region.delta import RegionDelta
-from repro.serialize import region_to_dict
+from repro.serialize import plan_to_dict, region_to_dict
 from repro.service import PlannerService, ServiceConfig, ServiceClient
 from repro.service.protocol import (
     MAX_MESSAGE_BYTES,
@@ -26,7 +30,7 @@ from repro.service.protocol import (
     encode_message,
     read_message,
 )
-from repro.store import PlanStore
+from repro.store import PlanStore, canonical_json
 
 
 class TestProtocol:
@@ -266,6 +270,100 @@ class TestDaemonEndToEnd:
                 assert status["state"] == "failed"
                 # The daemon is still healthy afterwards.
                 assert client.ping()["ok"]
+
+
+def _catalog_region(map_index, n_dcs):
+    return make_region(
+        map_index, n_dcs, dc_fibers=8, failure_tolerance=2, seed=2020
+    ).spec
+
+
+def _plan_bytes(plan) -> str:
+    return canonical_json(plan_to_dict(plan, full=True))
+
+
+class TestWorkerThreads:
+    """Daemon workers are threads of one process: a job's plan bytes must
+    not depend on what another thread does meanwhile."""
+
+    def test_plan_bytes_ignore_another_threads_hose_lookups(self):
+        region = _catalog_region(0, 5)
+        clear_hose_cache()
+        serial = _plan_bytes(plan_region(region))
+        clear_hose_cache()
+        stop = threading.Event()
+
+        def lookups():
+            n = 0
+            while not stop.is_set():
+                n += 1
+                hose_capacity([("A", "B")], {"A": n % 1000 + 1, "B": 1})
+
+        thread = threading.Thread(target=lookups)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: leaks show
+        thread.start()
+        try:
+            concurrent = _plan_bytes(plan_region(region))
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+            clear_hose_cache()
+        assert not thread.is_alive()
+        assert concurrent == serial
+
+    @staticmethod
+    def _stress_script():
+        """Phases of submissions over four 5- and 6-DC catalog regions:
+        the cold bases, then per base a resize, a bypass and a repeat."""
+        from tests.test_replan import _bypass_delta
+
+        cells = ((0, 5), (1, 5), (0, 6), (1, 6))
+        regions = [_catalog_region(*cell) for cell in cells]
+        later = []
+        for region in regions:
+            resize = RegionDelta.dc_resized(region.dcs[0], 6)
+            bypass = _bypass_delta(plan_region(region))
+            later += [
+                _submit_request(region, resize),
+                _submit_request(region, bypass),
+                _submit_request(region),
+            ]
+        return [[_submit_request(region) for region in regions], later]
+
+    @staticmethod
+    def _serve(script, workers, store_dir):
+        """Serve each phase's submissions at once; key -> plan bytes."""
+        served: dict[str, str] = {}
+        config = ServiceConfig(workers=workers, queue_size=32)
+        with PlannerService(config, store=PlanStore(store_dir)) as service:
+            service._start_workers()
+            for phase in script:
+                submits = [service.handle(request) for request in phase]
+                assert all(s["ok"] for s in submits), submits
+                for submit in submits:
+                    result = service.handle(
+                        {"op": "result", "job_id": submit["job_id"],
+                         "timeout_s": 300}
+                    )
+                    assert result["ok"], result
+                    plan = served.setdefault(submit["key"], result["plan"])
+                    assert plan == result["plan"]
+            assert service.counters()["failed"] == 0
+        return served
+
+    def test_four_workers_serve_the_one_worker_bytes(self, tmp_path):
+        script = self._stress_script()
+        one = self._serve(script, 1, tmp_path / "one")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # switch threads often: races show
+        try:
+            four = self._serve(script, 4, tmp_path / "four")
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(one) == 12
+        assert four == one
 
 
 class TestClientErrors:

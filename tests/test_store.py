@@ -117,37 +117,39 @@ class TestPlanStoreCas:
         assert store.get(key) is None
         assert store.corrupt == 1 and store.misses == 1
 
-    def test_lost_manifest_does_not_lose_blobs(self, tmp_path):
+    def test_blob_bytes_are_the_canonical_envelope(self, tmp_path):
+        """``put`` wraps the payload text it hashed in the envelope; the
+        bytes are the canonical JSON of the whole envelope."""
         store = PlanStore(tmp_path)
         key = "ef" * 32
-        store.put(key, {"v": 1})
-        store.manifest_path.unlink()
-        assert store.get(key) == {"v": 1}
+        payload = {"z": [1, 2.5, "é"], "a": {"nested": None}}
+        store.put(key, payload, kind="plan")
+        envelope = {
+            "content_sha256": sha256_hex(canonical_json(payload)),
+            "key": key,
+            "kind": "plan",
+            "payload": payload,
+        }
+        assert store.blob_path(key).read_text() == canonical_json(envelope)
 
-    def test_gc_respects_manifest(self, tmp_path):
+    def test_gc_removes_stale_tmp_files_only(self, tmp_path):
         store = PlanStore(tmp_path)
         live = "11" * 32
         store.put(live, {"keep": True})
-        # An orphan blob (valid bytes, no manifest entry) and a stale tmp.
-        orphan = "22" * 32
-        orphan_path = store.blob_path(orphan)
-        orphan_path.parent.mkdir(parents=True, exist_ok=True)
-        orphan_path.write_text("{}")
-        tmp_file = orphan_path.with_name("x.123.tmp")
+        # A blob no put() of this instance wrote is still a live entry.
+        other = "22" * 32
+        PlanStore(tmp_path).put(other, {"keep": "too"})
+        tmp_file = store.blob_path(other).with_name("x.123.tmp")
         tmp_file.write_text("partial")
-        # A dead manifest entry (entry, no blob).
-        entries = store._load_manifest()
-        entries["33" * 32] = {"kind": "ghost", "size": 0, "content_sha256": ""}
-        store._write_manifest(entries)
 
         result = store.gc()
-        assert result.removed_blobs == 1
-        assert result.dropped_entries == 1
-        assert result.reclaimed_bytes > 0
-        assert not orphan_path.exists()
+        assert result.removed_tmp == 1
+        assert result.reclaimed_bytes == len("partial")
         assert not tmp_file.exists()
         assert store.get(live) == {"keep": True}
+        assert store.get(other) == {"keep": "too"}
         assert store.evictions == 1
+        assert store.gc().removed_tmp == 0
 
     def test_verify_reports_and_repairs(self, tmp_path):
         store = PlanStore(tmp_path)
@@ -167,11 +169,14 @@ class TestPlanStoreCas:
         store.put("66" * 32, {"a": 1}, kind="plan")
         store.put("77" * 32, {"b": 2}, kind="plan")
         store.put("88" * 32, {"c": 3}, kind="topology")
+        store.blob_path("99" * 32).parent.mkdir(parents=True, exist_ok=True)
+        store.blob_path("99" * 32).write_text("garbage")  # kind unreadable
         stats = store.stats()
-        assert stats.entries == stats.blobs == 3
+        assert stats.blobs == 4
         assert stats.kinds == {"plan": 2, "topology": 1}
-        assert stats.total_bytes > 0
-        assert stats.orphan_blobs == 0
+        assert stats.total_bytes == sum(
+            path.stat().st_size for path in tmp_path.glob("objects/*/*.json")
+        )
         payload = stats.to_dict()
         assert payload["session"]["puts"] == 3
 
@@ -196,27 +201,25 @@ class TestConcurrentWriters:
         assert store.get(key) == payload
         assert store.verify() == []
 
-    def test_threads_putting_distinct_keys_never_collide(self, tmp_path):
-        """Threads of one process share a PID, so the tmp file name must
-        also separate threads (the planner service's workers are threads).
-        """
-        store = PlanStore(tmp_path)
-        keys = [f"{n:064x}" for n in range(400)]
+    @staticmethod
+    def _put_from_threads(store, key_groups):
+        """One thread per key group puts ``{"key": key}`` for each key,
+        switching threads often so races show."""
         errors: list[BaseException] = []
 
-        def put_range(part):
-            for key in keys[part::4]:
+        def put_all(keys):
+            for key in keys:
                 try:
                     store.put(key, {"key": key}, kind="race")
                 except Exception as exc:  # collected, asserted below
                     errors.append(exc)
 
         threads = [
-            threading.Thread(target=put_range, args=(part,))
-            for part in range(4)
+            threading.Thread(target=put_all, args=(keys,))
+            for keys in key_groups
         ]
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often: races show
+        sys.setswitchinterval(1e-5)
         try:
             for thread in threads:
                 thread.start()
@@ -226,7 +229,28 @@ class TestConcurrentWriters:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
+
+    def test_threads_putting_distinct_keys_never_collide(self, tmp_path):
+        """Threads of one process share a PID, so the tmp file name must
+        also separate threads (the planner service's workers are threads).
+        """
+        store = PlanStore(tmp_path)
+        keys = [f"{n:064x}" for n in range(400)]
+        self._put_from_threads(store, [keys[part::4] for part in range(4)])
         assert all(store.get(key) == {"key": key} for key in keys)
+
+    def test_two_threads_putting_40_blobs_each_keep_all_80(self, tmp_path):
+        """Writers share no file but their own blob, so none of them can
+        lose another's entry, and ``gc`` keeps every blob."""
+        store = PlanStore(tmp_path)
+        keys = [[f"{t:02x}{n:062x}" for n in range(40)] for t in range(2)]
+        self._put_from_threads(store, keys)
+        store.gc()
+        assert store.stats().blobs == 80
+        assert store.stats().kinds == {"race": 80}
+        assert all(
+            store.get(key) == {"key": key} for group in keys for key in group
+        )
 
 
 class TestPlanRegionWithStore:
@@ -362,7 +386,7 @@ class TestSweepResume:
         assert proc.returncode == 17, proc.stderr
 
         store = PlanStore(tmp_path)
-        assert store.stats().entries == 1  # exactly one cell survived
+        assert store.stats().blobs == 1  # exactly one cell survived
         resumed = sweep(SWEEP_POINTS, config=PlannerConfig(store=store))
         # Resume replanned only the incomplete cell.
         assert store.hits == 1 and store.puts == 1
@@ -377,7 +401,7 @@ class TestSweepResume:
         store.put(key, {"instance": "bogus"}, kind="sweep-cell")
         records = sweep(SWEEP_POINTS[:1], config=PlannerConfig(store=store))
         assert records == baseline
-        assert store.stats().entries == 1
+        assert store.stats().blobs == 1
 
 
 class TestObsIntegration:
