@@ -2,7 +2,8 @@
 
 The service's pitch is that a region *edit* should not cost a full
 replan: ``apply_delta`` reuses the old plan's scenario paths (execution-
-identity oracle), hose flows (warm cache + residual repair), and — when
+identity oracle), its hose capacities (the capacity phase runs again, but
+the hose memo the base plan warmed answers its lookups), and — when
 the bypass proof covers every scenario — the entire optical realization,
 while guaranteeing the patched plan is byte-identical to a cold replan
 of the mutated region. This bench measures that on the golden region

@@ -542,12 +542,14 @@ def cmd_store_stats(args) -> int:
 
 
 def cmd_store_gc(args) -> int:
-    """Remove the stale tmp files interrupted writes left behind."""
+    """Remove the stale tmp files interrupted writes left behind, and the
+    blobs of other store schemas."""
     store = _require_store(args)
     if store is None:
         return 2
     result = store.gc()
-    print(f"removed {result.removed_tmp} stale tmp file(s), "
+    print(f"removed {result.removed_tmp} stale tmp file(s) and "
+          f"{result.removed_other_schema} blob(s) of another store schema, "
           f"reclaimed {result.reclaimed_bytes:,} bytes")
     return 0
 
@@ -849,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = p.add_subparsers(dest="store_command", required=True)
     for name, func, help_text in (
         ("stats", cmd_store_stats, "inventory + session counters"),
-        ("gc", cmd_store_gc, "remove stale tmp files"),
+        ("gc", cmd_store_gc, "remove stale tmp files and other-schema blobs"),
         ("verify", cmd_store_verify, "re-check every blob digest"),
     ):
         ps = store_sub.add_parser(name, help=help_text)

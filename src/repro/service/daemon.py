@@ -11,7 +11,10 @@ the batch planner doesn't have:
 :func:`repro.store.keys.service_request_key` — the same function the
 batch planner's ``store=`` path uses — so a warm
 :class:`~repro.store.PlanStore` answers repeat requests without planning,
-and plans the daemon computes are checkpointed for the CLI to reuse.
+and plans the daemon computes are checkpointed for the CLI to reuse. A
+store hit serves the blob's verified payload text as is
+(:meth:`~repro.store.PlanStore.get_text`): it decodes nothing, encodes
+nothing and caches no plan.
 
 **Single-flight coalescing.** Concurrent submissions with the same key
 collapse onto one in-flight job: followers get the *same* job id back
@@ -20,7 +23,8 @@ asking for one uncached plan cost exactly one cold plan.
 
 **Incremental replanning.** A submission may carry a
 :class:`~repro.region.delta.RegionDelta`; when the *base* region's plan
-is available (in-memory or in the store) the job runs
+is available (in the in-memory LRU, or decoded once from the store into
+it) the job runs
 :func:`repro.service.apply_delta` instead of a cold plan — byte-identical
 output, typically ~an order of magnitude faster (``outcome: "patched"``).
 
@@ -29,12 +33,14 @@ Every job outcome is counted (``queued``/``coalesced``/``store``/
 and mirrored into :mod:`repro.obs` under ``service.*``, so the stampede
 and smoke tests can assert "exactly one cold plan" from the counters.
 
-Each job builds its plan's ``full=True`` dict once, serves
-:func:`~repro.store.canonical_json` of it verbatim to every coalesced
-client (bit-identical bytes by construction) and stores the same dict.
-The encoding holds no run statistics, so the bytes do not depend on
-which worker thread planned the job or on what another worker did
-meanwhile.
+A planned or patched job encodes its plan once, as
+:func:`~repro.store.canonical_json` of its ``full=True`` dict, serves that
+text verbatim to every coalesced client (bit-identical bytes by
+construction) and stores the same text. A store hit serves exactly
+those bytes again: the store returns a payload only when its text
+hashes to the digest recorded when it was put. The encoding holds no
+run statistics, so the bytes do not depend on which worker thread
+planned the job or on what another worker did meanwhile.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ class ServiceConfig:
     concurrency comes from ``workers`` threads). ``job_timeout_s``
     arms a per-job :class:`~repro.core.engine.CancelToken` deadline.
     ``keep_results`` bounds both the finished-job table and the
-    in-memory plan cache that seeds delta jobs.
+    in-memory LRU of plans that seeds delta jobs.
     """
 
     host: str = "127.0.0.1"
@@ -522,30 +528,41 @@ class PlannerService:
                 self._queue.task_done()
 
     def _run_job(self, job: _Job) -> None:
+        """Answer one job: the store's verified text, else a patch or a
+        cold plan, encoded once, served and stored.
+
+        A store hit is not decoded to check it: the key folds in the
+        store schema and the plan format version (:mod:`repro.store.keys`),
+        so a payload under a current key was written by the current
+        encoder.
+        """
         job.state = "running"
         job.token = CancelToken(self.config.job_timeout_s)
         try:
-            plan, outcome, stats = self._resolve(job)
-            encoded = plan_to_dict(plan, full=True)
-            job.result_json = canonical_json(encoded)
-            job.outcome = outcome
-            if stats is not None:
-                job.delta_stats = {
-                    "mode": stats.mode,
-                    "realization": stats.realization,
-                    "scenarios_reused": stats.reused,
-                    "bypass_checks": stats.checked,
-                    "scenarios_computed": stats.computed,
-                }
-            with self._lock:
-                self._plans[job.key] = plan
-                while len(self._plans) > max(1, self.config.keep_results):
-                    self._plans.popitem(last=False)
-            if self.store is not None and outcome != "store":
-                self.store.put(job.key, encoded, kind="plan")
+            text = None
+            if self.store is not None:
+                text = self.store.get_text(job.key, kind="plan")
+            if text is not None:
+                job.result_json = text
+                job.outcome = "store"
+                self._incr("store_hits")
+            else:
+                plan, outcome, stats = self._resolve(job)
+                job.result_json = canonical_json(plan_to_dict(plan, full=True))
+                job.outcome = outcome
+                if stats is not None:
+                    job.delta_stats = {
+                        "mode": stats.mode,
+                        "realization": stats.realization,
+                        "scenarios_reused": stats.reused,
+                        "bypass_checks": stats.checked,
+                        "scenarios_computed": stats.computed,
+                    }
+                self._remember(job.key, plan)
+                if self.store is not None:
+                    self.store.put_text(job.key, job.result_json, kind="plan")
+                self._incr(outcome)
             job.state = "done"
-            if outcome in ("patched", "cold"):
-                self._incr(outcome)  # "store" was counted in _resolve
             self._incr("completed")
         except JobCancelled as exc:
             job.error = str(exc)
@@ -570,18 +587,9 @@ class PlannerService:
     def _resolve(
         self, job: _Job
     ) -> tuple[IrisPlan, str, DeltaStats | None]:
-        """Cheapest correct source for the job's plan: store, patch, cold."""
+        """The job's plan when the store has not answered it: a patch of
+        the base plan if there is one, else a cold plan."""
         config = self.config
-        if self.store is not None:
-            cached = self.store.get(job.key)
-            if cached is not None:
-                try:
-                    plan = plan_from_dict(cached)
-                except ReproError:
-                    plan = None  # stale payload: fall through and heal
-                if plan is not None:
-                    self._incr("store_hits")
-                    return plan, "store", None
         if job.delta is not None:
             base_plan = self._base_plan(job)
             if base_plan is not None:
@@ -608,9 +616,11 @@ class PlannerService:
     def _base_plan(self, job: _Job) -> IrisPlan | None:
         """The base region's plan for a delta job, if already available.
 
-        In-memory first (plans this daemon produced), then the store.
-        ``None`` sends the job down the cold path — correctness never
-        depends on the base plan being warm.
+        In-memory first (plans this daemon produced or decoded), then the
+        store: a stored base is decoded once and cached, so the deltas
+        that follow a restart patch from memory. A payload that does not
+        decode, or ``None``, sends the job down the cold path —
+        correctness never depends on the base plan being warm.
         """
         if job.base_region is None:
             return None
@@ -624,16 +634,29 @@ class PlannerService:
         )
         with self._lock:
             plan = self._plans.get(base_key)
-        if plan is not None:
-            return plan
-        if self.store is not None:
-            cached = self.store.get(base_key)
-            if cached is not None:
-                try:
-                    return plan_from_dict(cached)
-                except ReproError:
-                    return None
-        return None
+            if plan is not None:
+                self._plans.move_to_end(base_key)
+                return plan
+        if self.store is None:
+            return None
+        cached = self.store.get(base_key)
+        if cached is None:
+            return None
+        try:
+            plan = plan_from_dict(cached)
+        except ReproError:
+            return None
+        self._remember(base_key, plan)
+        return plan
+
+    def _remember(self, key: str, plan: IrisPlan) -> None:
+        """Put ``plan`` at the recent end of the plan LRU, evicting the
+        least recently used beyond ``keep_results``."""
+        with self._lock:
+            self._plans[key] = plan
+            self._plans.move_to_end(key)
+            while len(self._plans) > max(1, self.config.keep_results):
+                self._plans.popitem(last=False)
 
     # ------------------------------------------------------------------
     # sockets

@@ -15,6 +15,9 @@ goal needs:
   blob write per artifact and no index beside the blobs, digest
   re-verification on every read (corruption degrades to a miss, never a
   crash), and the ``get``/``put``/``gc``/``stats``/``verify`` API.
+  ``get_text``/``put_text`` read and write the canonical payload text
+  itself, so a caller that serves or already holds the bytes (the
+  planner daemon) decodes and encodes nothing twice.
 
 Typical use::
 

@@ -6,22 +6,29 @@ Layout under the store root::
       objects/<k[:2]>/<key>.json    # one blob per artifact key
 
 There is no index: the blob files are the store. Every blob is a
-self-verifying envelope — the canonical JSON of ``{"content_sha256",
-"key", "kind", "payload"}``, keys in that (sorted) order — so a read needs
-nothing but the file: the payload's content digest is recomputed and
-compared on every :meth:`PlanStore.get`. Any mismatch, torn write, or
-unparseable file degrades to a **miss**, never a crash or a wrong hit;
-the caller replans and the next :meth:`~PlanStore.put` heals the entry.
-:meth:`~PlanStore.stats` reads each blob's ``kind`` from the head of its
-envelope, which the key order puts before the payload.
+self-verifying envelope, the canonical JSON of ``{"content_sha256",
+"key", "kind", "layout", "payload"}`` in that (sorted) key order;
+``layout`` is the :data:`~repro.store.keys.STORE_SCHEMA_VERSION` that
+wrote it, a name that sorts before ``payload``. Everything before
+``,"payload":`` is the *head*.
 
-Crash safety is the whole design: a :meth:`~PlanStore.put` is one write
-to a same-directory tmp file that lands via ``os.replace`` (atomic on
-POSIX), an invariant reprolint rule R008 machine-checks for this package.
-Writers share no file but their own blob, so concurrent writers of
-distinct keys never lose one another's work, and two writers putting the
-same key converge on identical bytes. A crash can leave a stale ``*.tmp``
-file behind; :meth:`~PlanStore.gc` removes those.
+:meth:`PlanStore.get_text` is the one read: it checks the head and the
+SHA-256 of the payload *text*, so it returns exactly the text
+:meth:`~PlanStore.put_text` wrote, with nothing decoded or re-encoded
+(:meth:`~PlanStore.get` is one ``json.loads`` of it). Any mismatch,
+torn write, or unparseable file degrades to a **miss**, never a crash
+or a wrong hit; the caller replans and the next put heals the entry.
+:meth:`~PlanStore.verify`, :meth:`~PlanStore.stats` and
+:meth:`~PlanStore.gc` parse the same head.
+
+Crash safety is the whole design: a put is one write to a same-directory
+tmp file that lands via ``os.replace`` (atomic on POSIX), an invariant
+reprolint rule R008 machine-checks for this package. Writers share no
+file but their own blob, so concurrent writers of distinct keys never
+lose one another's work, and two writers putting the same key converge
+on identical bytes. A crash can leave a stale ``*.tmp`` file behind;
+:meth:`~PlanStore.gc` removes those, and the blobs of other store
+schemas, which no read of this code serves.
 
 Observability: ``get``/``put``/``gc``/``verify`` run under
 :mod:`repro.obs` spans (I/O wall time) and bump ``store.hits``,
@@ -43,21 +50,25 @@ from typing import Any
 from repro import obs
 from repro.exceptions import ReproError
 from repro.store.canonical import canonical_json, sha256_hex
+from repro.store.keys import STORE_SCHEMA_VERSION
 
 _KEY_HEX_LEN = 64
 
-#: What separates an envelope's head (digest, key, kind) from its payload.
+#: What separates an envelope's head from its payload.
 _PAYLOAD_FIELD = ',"payload":'
 
-#: How much of a blob :meth:`PlanStore.stats` reads to find its kind.
+#: How much of a blob :meth:`PlanStore.stats` and :meth:`PlanStore.gc`
+#: read to parse its head.
 _HEAD_BYTES = 4096
 
 
 @dataclass(frozen=True)
 class GcResult:
-    """What one :meth:`PlanStore.gc` pass removed."""
+    """What one :meth:`PlanStore.gc` pass removed: stale ``*.tmp`` files,
+    and blobs whose head names no store schema or another one."""
 
     removed_tmp: int
+    removed_other_schema: int
     reclaimed_bytes: int
 
 
@@ -116,26 +127,82 @@ def _atomic_write_text(path: Path, text: str) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _blob_kind(path: Path) -> str | None:
-    """The ``kind`` in a blob's envelope head, or ``None`` if unreadable.
+def _parse_head(text: str) -> tuple[dict[str, Any], int] | None:
+    """An envelope's head fields and where its payload text starts, or
+    ``None`` if the head does not parse.
 
     The head ends where the payload field starts: a ``"`` inside a JSON
     string is always escaped, so the first ``,"payload":`` is the field.
+    ``text`` may be only a prefix of the blob.
     """
+    end = text.find(_PAYLOAD_FIELD)
+    if end < 0:
+        return None
+    try:
+        head = json.loads(text[:end] + "}")
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(head, dict):
+        return None
+    return head, end + len(_PAYLOAD_FIELD)
+
+
+def _read_head(path: Path) -> dict[str, Any] | None:
+    """The head of the blob at ``path``, or ``None`` if unreadable."""
     try:
         with open(path, encoding="utf-8") as handle:
             prefix = handle.read(_HEAD_BYTES)
     except (OSError, UnicodeDecodeError):
         return None
-    end = prefix.find(_PAYLOAD_FIELD)
-    if end < 0:
+    parsed = _parse_head(prefix)
+    return None if parsed is None else parsed[0]
+
+
+def _payload_text(key: str, text: str, kind: str | None) -> str | None:
+    """The payload text of one blob, or ``None`` unless its head names
+    ``key``, this store schema and ``kind`` (any kind if ``None``), and
+    the payload text hashes to the head's ``content_sha256``.
+
+    The payload is the envelope's last field, so its text runs from the
+    head's end to the closing brace; a torn or padded blob fails the
+    digest.
+    """
+    parsed = _parse_head(text)
+    if parsed is None:
         return None
-    try:
-        head = json.loads(prefix[:end] + "}")
-    except json.JSONDecodeError:
+    head, start = parsed
+    if (
+        head.get("key") != key
+        or head.get("layout") != STORE_SCHEMA_VERSION
+        or (kind is not None and head.get("kind") != kind)
+    ):
         return None
-    kind = head.get("kind") if isinstance(head, dict) else None
-    return kind if isinstance(kind, str) else None
+    payload = text[start:-1]
+    if sha256_hex(payload) != head.get("content_sha256"):
+        return None
+    return payload
+
+
+def _other_schema(path: Path) -> bool:
+    """Whether the blob at ``path`` has a head naming no store schema or
+    another one (a head that does not parse is not judged)."""
+    head = _read_head(path)
+    return head is not None and head.get("layout") != STORE_SCHEMA_VERSION
+
+
+def _remove(paths: list[Path]) -> tuple[int, int]:
+    """Unlink ``paths``: (files removed, bytes reclaimed). A file that
+    is already gone is skipped."""
+    removed = reclaimed = 0
+    for path in paths:
+        try:
+            size = path.stat().st_size
+            path.unlink()
+        except OSError:
+            continue
+        removed += 1
+        reclaimed += size
+    return removed, reclaimed
 
 
 class PlanStore:
@@ -171,12 +238,14 @@ class PlanStore:
 
     # -- core API ------------------------------------------------------------
 
-    def get(self, key: str) -> dict[str, Any] | None:
-        """The payload stored under ``key``, or ``None`` on any miss.
+    def get_text(self, key: str, kind: str | None = None) -> str | None:
+        """The exact payload text put under ``key``, or ``None`` on any
+        miss (``kind=None`` accepts any kind).
 
-        The content digest is re-verified on every read; corruption of
-        any shape (torn write, bit rot, truncation, schema drift) counts
-        ``store.corrupt`` and degrades to a miss so the caller replans.
+        A blob that fails the checks in :func:`_payload_text` (torn
+        write, bit rot, another schema, a payload rewritten with other
+        whitespace) counts ``store.corrupt`` and degrades to a miss so
+        the caller replans.
         """
         with obs.span("store.get") as span:
             path = self.blob_path(key)
@@ -186,7 +255,9 @@ class PlanStore:
                 self.misses += 1
                 span.incr("store.misses")
                 return None
-            payload = self._verified_payload(key, text)
+            except UnicodeDecodeError:
+                text = ""  # not UTF-8: corrupt, like any other bad blob
+            payload = _payload_text(key, text, kind)
             if payload is None:
                 self.corrupt += 1
                 self.misses += 1
@@ -198,38 +269,28 @@ class PlanStore:
             span.incr("store.bytes_read", len(text))
             return payload
 
-    @staticmethod
-    def _verified_payload(key: str, text: str) -> dict[str, Any] | None:
-        """Decode one blob envelope; ``None`` unless everything checks out."""
-        try:
-            envelope = json.loads(text)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(envelope, dict) or envelope.get("key") != key:
-            return None
-        payload = envelope.get("payload")
-        content_sha = envelope.get("content_sha256")
-        if payload is None or not isinstance(content_sha, str):
-            return None
-        try:
-            actual = sha256_hex(canonical_json(payload))
-        except ReproError:
-            return None
-        if actual != content_sha:
-            return None
-        return payload
+    def get(self, key: str) -> dict[str, Any] | None:
+        """The payload stored under ``key``, decoded, or ``None`` on any
+        miss (see :meth:`get_text`)."""
+        text = self.get_text(key)
+        return None if text is None else json.loads(text)
 
-    def put(self, key: str, payload: dict[str, Any], kind: str = "artifact") -> str:
-        """Store ``payload`` under ``key`` (idempotent; returns ``key``).
+    def put_text(self, key: str, text: str, kind: str = "artifact") -> str:
+        """Store the canonical payload text ``text`` under ``key``
+        (idempotent; returns ``key``).
 
-        The payload is encoded and hashed once; its text is wrapped in the
-        envelope as is, which gives the same bytes as encoding the whole
-        envelope. The blob lands in one atomic write.
+        ``text`` must be ``canonical_json`` of the payload: it is hashed
+        and wrapped in the envelope as is, which gives the same bytes as
+        encoding the whole envelope. The blob lands in one atomic write.
         """
         with obs.span("store.put") as span:
-            text = canonical_json(payload)
             head = canonical_json(
-                {"content_sha256": sha256_hex(text), "key": key, "kind": kind}
+                {
+                    "content_sha256": sha256_hex(text),
+                    "key": key,
+                    "kind": kind,
+                    "layout": STORE_SCHEMA_VERSION,
+                }
             )
             envelope = f"{head[:-1]}{_PAYLOAD_FIELD}{text}}}"
             _atomic_write_text(self.blob_path(key), envelope)
@@ -238,6 +299,11 @@ class PlanStore:
             span.incr("store.bytes_written", len(envelope))
         return key
 
+    def put(self, key: str, payload: dict[str, Any], kind: str = "artifact") -> str:
+        """Store ``payload`` under ``key``: :meth:`put_text` of its
+        canonical JSON (idempotent; returns ``key``)."""
+        return self.put_text(key, canonical_json(payload), kind)
+
     def _blob_files(self) -> list[Path]:
         objects = self.root / "objects"
         if not objects.is_dir():
@@ -245,35 +311,37 @@ class PlanStore:
         return sorted(objects.glob("*/*.json"))
 
     def gc(self) -> GcResult:
-        """Remove the stale ``*.tmp`` files crashed writers left behind.
+        """Remove what no read serves: the stale ``*.tmp`` files crashed
+        writers left behind, and the blobs whose head names no store
+        schema or another one (keys fold the schema in, so this code
+        never asks for them).
 
-        Every blob is a live entry (there is no index to fall out of), so
-        ``gc`` never removes one; ``verify(repair=True)`` deletes corrupt
-        blobs. Counts ``store.evictions`` per removed file.
+        A blob whose head does not parse stays; ``verify(repair=True)``
+        deletes corrupt blobs. Counts ``store.evictions`` per removed
+        file.
         """
         with obs.span("store.gc") as span:
             objects = self.root / "objects"
             stale_tmp = sorted(objects.glob("*/*.tmp")) if objects.is_dir() else []
-            removed = 0
-            reclaimed = 0
-            for path in stale_tmp:
-                try:
-                    size = path.stat().st_size
-                    path.unlink()
-                except OSError:
-                    continue
-                removed += 1
-                reclaimed += size
-            self.evictions += removed
-            span.incr("store.evictions", removed)
-        return GcResult(removed_tmp=removed, reclaimed_bytes=reclaimed)
+            other_schema = [
+                path for path in self._blob_files() if _other_schema(path)
+            ]
+            removed_tmp, tmp_bytes = _remove(stale_tmp)
+            removed_blobs, blob_bytes = _remove(other_schema)
+            self.evictions += removed_tmp + removed_blobs
+            span.incr("store.evictions", removed_tmp + removed_blobs)
+        return GcResult(
+            removed_tmp=removed_tmp,
+            removed_other_schema=removed_blobs,
+            reclaimed_bytes=tmp_bytes + blob_bytes,
+        )
 
     def verify(self, *, repair: bool = False) -> list[str]:
-        """Check every blob against its digest; list the problems found.
+        """Check every blob as :meth:`get_text` would; list the problems.
 
-        With ``repair=True`` corrupt blobs are deleted (so they become
-        ordinary misses); without it the store is left untouched — ``get``
-        already refuses to return them.
+        With ``repair=True`` the blobs it names are deleted (so they
+        become ordinary misses); without it the store is left untouched —
+        ``get`` already refuses to return them.
         """
         with obs.span("store.verify"):
             problems: list[str] = []
@@ -282,12 +350,15 @@ class PlanStore:
                 key = path.stem
                 try:
                     text = path.read_text(encoding="utf-8")
-                except OSError as exc:
+                except (OSError, UnicodeDecodeError) as exc:
                     problems.append(f"{key}: unreadable blob ({exc})")
                     bad_keys.append(key)
                     continue
-                if self._verified_payload(key, text) is None:
-                    problems.append(f"{key}: digest mismatch or malformed envelope")
+                if _payload_text(key, text, None) is None:
+                    problems.append(
+                        f"{key}: digest mismatch, malformed envelope or "
+                        "another store schema"
+                    )
                     bad_keys.append(key)
             if repair and bad_keys:
                 for key in bad_keys:
@@ -310,8 +381,8 @@ class PlanStore:
                 total_bytes += path.stat().st_size
             except OSError:
                 continue
-            kind = _blob_kind(path)
-            if kind is not None:
+            kind = (_read_head(path) or {}).get("kind")
+            if isinstance(kind, str):
                 kinds[kind] = kinds.get(kind, 0) + 1
         return StoreStats(
             root=str(self.root),

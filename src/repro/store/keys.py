@@ -24,11 +24,13 @@ from repro.serialize import FORMAT_VERSION, region_to_dict
 from repro.store.canonical import digest
 
 #: Bump when the store's on-disk layout, key envelope or stored payloads
-#: change shape; old entries then miss instead of being misread (their
-#: blobs stay on disk until the store directory is removed). Version 2:
+#: change shape; old entries then miss instead of being misread. Every
+#: blob's head names the version that wrote it (its ``layout`` field), so
+#: ``PlanStore.gc`` removes the blobs of any other version. Version 2:
 #: plan and topology payloads hold no ``timings`` block, and the store
-#: keeps no index manifest.
-STORE_SCHEMA_VERSION = 2
+#: keeps no index manifest. Version 3: the envelope head gains
+#: ``layout``, and a read serves the payload text verbatim.
+STORE_SCHEMA_VERSION = 3
 
 
 def artifact_key(kind: str, inputs: dict[str, Any]) -> str:

@@ -18,7 +18,7 @@ import pytest
 from repro import obs
 from repro.core.hose import clear_hose_cache, hose_capacity
 from repro.core.planner import plan_region
-from repro.exceptions import ServiceError
+from repro.exceptions import ReproError, ServiceError
 from repro.region.catalog import make_region
 from repro.region.delta import RegionDelta
 from repro.serialize import plan_to_dict, region_to_dict
@@ -364,6 +364,122 @@ class TestWorkerThreads:
             sys.setswitchinterval(interval)
         assert len(one) == 12
         assert four == one
+
+
+def _answer(service, region, delta=None):
+    """Submit one request and wait for its successful result."""
+    submit = service.handle(_submit_request(region, delta))
+    assert submit["ok"], submit
+    result = service.handle(
+        {"op": "result", "job_id": submit["job_id"], "timeout_s": 120}
+    )
+    assert result["ok"], result
+    return result
+
+
+def _count_decodes(monkeypatch):
+    """Wrap the daemon's ``plan_from_dict``; returns the call list."""
+    import repro.service.daemon as daemon_mod
+
+    calls = []
+    real = daemon_mod.plan_from_dict
+
+    def counting(payload):
+        calls.append(1)
+        return real(payload)
+
+    monkeypatch.setattr(daemon_mod, "plan_from_dict", counting)
+    return calls
+
+
+class TestStoreHits:
+    """A store hit serves the blob's verified text: no decode, no encode,
+    no plan cached; a delta's stored base is decoded once."""
+
+    def test_hit_decodes_nothing(self, toy_region, tmp_path, monkeypatch):
+        import repro.service.daemon as daemon_mod
+
+        with PlannerService(ServiceConfig(), store=PlanStore(tmp_path)) as service:
+            service._start_workers()
+            cold = _answer(service, toy_region)
+
+            def refuse(payload):
+                raise ReproError("a store hit must not decode")
+
+            monkeypatch.setattr(daemon_mod, "plan_from_dict", refuse)
+            warm = _answer(service, toy_region)
+            assert (cold["outcome"], warm["outcome"]) == ("cold", "store")
+            assert warm["plan"] == cold["plan"]
+            assert warm["plan"] == canonical_json(
+                plan_to_dict(plan_region(toy_region), full=True)
+            )
+
+    def test_restarted_daemon_decodes_a_stored_base_once(
+        self, toy_region, tmp_path, monkeypatch
+    ):
+        with PlannerService(ServiceConfig(), store=PlanStore(tmp_path)) as service:
+            service._start_workers()
+            assert _answer(service, toy_region)["outcome"] == "cold"
+        decodes = _count_decodes(monkeypatch)
+        with PlannerService(ServiceConfig(), store=PlanStore(tmp_path)) as service:
+            service._start_workers()
+            outcomes = [_answer(service, toy_region)["outcome"]]
+            assert not service._plans  # a hit caches no plan
+            outcomes += [
+                _answer(
+                    service, toy_region, RegionDelta.dc_resized("DC1", 12)
+                )["outcome"],
+                _answer(
+                    service, toy_region, RegionDelta.dc_resized("DC2", 12)
+                )["outcome"],
+            ]
+        assert outcomes == ["store", "patched", "patched"]
+        assert len(decodes) == 1
+
+    def test_flipped_payload_replans_and_heals(self, toy_region, tmp_path):
+        store = PlanStore(tmp_path)
+        with PlannerService(ServiceConfig(), store=store) as service:
+            service._start_workers()
+            first = _answer(service, toy_region)
+            (blob,) = tmp_path.glob("objects/*/*.json")
+            text = blob.read_text()
+            # Change one digit of the payload: the JSON stays valid.
+            at = text.index(',"payload":')
+            at += next(i for i, c in enumerate(text[at:]) if c in "12345678")
+            blob.write_text(text[:at] + str(int(text[at]) + 1) + text[at + 1:])
+
+            replanned = _answer(service, toy_region)
+            assert replanned["outcome"] == "cold"
+            assert replanned["plan"] == first["plan"]
+            assert store.corrupt == 1
+            healed = _answer(service, toy_region)
+            assert healed["outcome"] == "store"
+            assert healed["plan"] == first["plan"]
+            assert blob.read_text() == text
+
+    def test_plan_cache_is_lru(self, toy_region, tmp_path, monkeypatch):
+        """A base plan each delta uses stays in memory while plans nobody
+        reads again age out. With room for three plans: A, B, A's first
+        delta (which uses A), then C evicts B, not A."""
+        decodes = _count_decodes(monkeypatch)
+        region_b = RegionDelta.dc_resized("DC1", 8).apply_to_region(toy_region)
+        region_c = RegionDelta.dc_resized("DC2", 8).apply_to_region(toy_region)
+        config = ServiceConfig(keep_results=3)
+        with PlannerService(config, store=PlanStore(tmp_path)) as service:
+            service._start_workers()
+            outcomes = [
+                _answer(service, toy_region)["outcome"],
+                _answer(service, region_b)["outcome"],
+                _answer(
+                    service, toy_region, RegionDelta.dc_resized("DC3", 12)
+                )["outcome"],
+                _answer(service, region_c)["outcome"],
+                _answer(
+                    service, toy_region, RegionDelta.dc_resized("DC4", 12)
+                )["outcome"],
+            ]
+        assert outcomes == ["cold", "cold", "patched", "cold", "patched"]
+        assert decodes == []  # the second delta patched A from memory
 
 
 class TestClientErrors:

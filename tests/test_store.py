@@ -119,7 +119,8 @@ class TestPlanStoreCas:
 
     def test_blob_bytes_are_the_canonical_envelope(self, tmp_path):
         """``put`` wraps the payload text it hashed in the envelope; the
-        bytes are the canonical JSON of the whole envelope."""
+        bytes are the canonical JSON of the whole envelope, whose head
+        names the store schema that wrote it."""
         store = PlanStore(tmp_path)
         key = "ef" * 32
         payload = {"z": [1, 2.5, "é"], "a": {"nested": None}}
@@ -128,9 +129,82 @@ class TestPlanStoreCas:
             "content_sha256": sha256_hex(canonical_json(payload)),
             "key": key,
             "kind": "plan",
+            "layout": STORE_SCHEMA_VERSION,
             "payload": payload,
         }
         assert store.blob_path(key).read_text() == canonical_json(envelope)
+
+    def test_get_text_is_the_put_text(self, tmp_path):
+        store = PlanStore(tmp_path)
+        key = "12" * 32
+        text = canonical_json({"b": [1, 2.5], "a": "é"})
+        store.put_text(key, text, kind="plan")
+        assert store.get_text(key, kind="plan") == text
+        assert store.get_text(key) == text
+        assert store.get(key) == json.loads(text)
+        # put() is put_text() of the canonical encoding: the same blob.
+        blob = store.blob_path(key).read_text()
+        store.put(key, json.loads(text), kind="plan")
+        assert store.blob_path(key).read_text() == blob
+
+    @staticmethod
+    def _forge(store, key, text, head=None):
+        """Write a blob whose digest is right and whose head holds
+        ``head`` over the current key, kind and schema (a ``None`` value
+        drops the field)."""
+        fields = {
+            "content_sha256": sha256_hex(text),
+            "key": key,
+            "kind": "plan",
+            "layout": STORE_SCHEMA_VERSION,
+            **(head or {}),
+        }
+        fields = {k: v for k, v in fields.items() if v is not None}
+        path = store.blob_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            canonical_json(fields)[:-1] + ',"payload":' + text + "}"
+        )
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            {"key": "34" * 32},
+            {"kind": "topology"},
+            {"layout": STORE_SCHEMA_VERSION - 1},
+            {"layout": None},  # a schema-2 head: no layout at all
+        ],
+    )
+    def test_head_naming_another_key_kind_or_schema_is_a_miss(
+        self, tmp_path, head
+    ):
+        store = PlanStore(tmp_path)
+        key = "56" * 32
+        self._forge(store, key, canonical_json({"v": 1}), head)
+        assert store.get_text(key, kind="plan") is None
+        assert store.corrupt == 1 and store.misses == 1
+        self._forge(store, key, canonical_json({"v": 1}))
+        assert store.get_text(key, kind="plan") == '{"v":1}'
+
+    def test_payload_with_other_whitespace_is_a_miss(self, tmp_path):
+        """The digest covers the payload's text, not its JSON value: a
+        payload rewritten with other whitespace is a miss."""
+        store = PlanStore(tmp_path)
+        key = "78" * 32
+        store.put(key, {"v": [1, 2]}, kind="plan")
+        path = store.blob_path(key)
+        path.write_text(path.read_text().replace('"v":[1,2]', '"v": [1, 2]'))
+        assert json.loads(path.read_text())["payload"] == {"v": [1, 2]}
+        assert store.get(key) is None
+        assert store.corrupt == 1
+
+    def test_undecodable_bytes_are_a_miss(self, tmp_path):
+        store = PlanStore(tmp_path)
+        key = "9a" * 32
+        store.put(key, {"v": 1}, kind="plan")
+        store.blob_path(key).write_bytes(b'{"content_sha256":"\xff\xfe"}')
+        assert store.get(key) is None
+        assert store.corrupt == 1
 
     def test_gc_removes_stale_tmp_files_only(self, tmp_path):
         store = PlanStore(tmp_path)
@@ -150,6 +224,31 @@ class TestPlanStoreCas:
         assert store.get(other) == {"keep": "too"}
         assert store.evictions == 1
         assert store.gc().removed_tmp == 0
+
+    def test_gc_removes_blobs_of_other_schemas(self, tmp_path):
+        store = PlanStore(tmp_path)
+        live = "ab" * 32
+        store.put(live, {"keep": True}, kind="plan")
+        forge = TestPlanStoreCas._forge
+        forge(store, "bc" * 32, '{"old":2}', {"layout": None})  # schema 2
+        forge(store, "cd" * 32, '{"new":1}', {"layout": STORE_SCHEMA_VERSION + 1})
+        garbage = store.blob_path("de" * 32)
+        garbage.parent.mkdir(parents=True, exist_ok=True)
+        garbage.write_text("garbage")  # no head: verify's business
+        sizes = sum(
+            store.blob_path(k).stat().st_size for k in ("bc" * 32, "cd" * 32)
+        )
+        assert len(store.verify()) == 3  # get() serves none of them
+
+        result = store.gc()
+        assert (result.removed_tmp, result.removed_other_schema) == (0, 2)
+        assert result.reclaimed_bytes == sizes
+        assert store.evictions == 2
+        assert sorted(p.stem for p in tmp_path.glob("objects/*/*.json")) == [
+            live, "de" * 32
+        ]
+        assert store.get(live) == {"keep": True}
+        assert store.gc().removed_other_schema == 0
 
     def test_verify_reports_and_repairs(self, tmp_path):
         store = PlanStore(tmp_path)
