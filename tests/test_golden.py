@@ -227,3 +227,109 @@ class TestCutThroughOnlyAblation:
             effective_paths=paths,
         )
         assert _canonical_digest(plan)[:16] == "57cc4e741977358d"
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+#: (map, DCs) -> digest prefix of the catalog region's ``region_to_json``:
+#: the generator's repair loop and the DC placement, every catalog cell.
+REGION_DIGESTS = {
+    (0, 5): "a6c0ec2b1e2cdd34", (0, 10): "0685f2e86caf7a8e",
+    (0, 15): "7ad833cbb04fd83e", (0, 20): "563e87e4c893b265",
+    (1, 5): "537deaa93c136a72", (1, 10): "655ddeaa7061eaf0",
+    (1, 15): "5400aed5a6c9008e", (1, 20): "2e1d545616c510ce",
+    (2, 5): "e3209088abadb878", (2, 10): "cc1390a818fc060e",
+    (2, 15): "7c0ff4cce818a3b9", (2, 20): "093fdd310bc07d15",
+    (3, 5): "aec791bff22c1d06", (3, 10): "5a1ebdc583088258",
+    (3, 15): "c5a5f2c613706061", (3, 20): "da412eb0ea337bd6",
+    (4, 5): "5849fb66938b8779", (4, 10): "a98349b699ac0efb",
+    (4, 15): "94a0809b791044c8", (4, 20): "abde7d7631bf8ac7",
+    (5, 5): "72f4d9a39df08e87", (5, 10): "59ac8a7f857d32e6",
+    (5, 15): "35350d480eee5827", (5, 20): "e405cc33741a8535",
+    (6, 5): "1e2aa5041d77c48f", (6, 10): "0e8d950c8607d49a",
+    (6, 15): "b81e9b36e56a9de0", (6, 20): "4e10fdf2026901f2",
+    (7, 5): "a8e785f5f8bfaf0c", (7, 10): "f5e7551004b6ee35",
+    (7, 15): "1e8f99e8ab82818e", (7, 20): "2df314e2c08689b2",
+    (8, 5): "8675b6be75959d51", (8, 10): "8dec7ff18658bed0",
+    (8, 15): "dc3e9858526fe1da", (8, 20): "1d510fbc1c0113de",
+    (9, 5): "f2d12c81354fcf69", (9, 10): "876a60f0c006ecc4",
+    (9, 15): "e08d8630aa8f9b32", (9, 20): "adb22258c47d1598",
+}
+
+#: (map, DCs) -> digest prefix of the baseline designs on a golden cell:
+#: the centralized default hub, spoke routes and inventory, and the
+#: semi-distributed zones, hubs and inventory.
+DESIGN_DIGESTS = {
+    (0, 4): "f9e7fb14d017fb57",
+    (0, 5): "43d7b3b5f5f57945",
+    (1, 5): "820b2f40f95d306f",
+    (2, 5): "c47bc2a8475220ff",
+    (3, 5): "d564da265b1fc1c4",
+    (0, 6): "6be5add54425df2b",
+    (1, 6): "6a8471ad355c54a4",
+    (2, 6): "205f238674be0959",
+    (3, 6): "77206b0152691614",
+    (5, 6): "270ec8004574e4b3",
+}
+
+
+class TestRegionBytes:
+    """Region building pinned byte for byte: the generator's connectivity
+    repair (component order, edge-connectivity loop) and the DC placement
+    (fiber-distance reach) feed every plan, so any change to a shortest
+    path or a connectivity check there shows here first."""
+
+    def test_catalog_region_bytes(self):
+        from repro.serialize import region_to_json
+
+        got = {
+            cell: _text_digest(
+                region_to_json(
+                    make_region(
+                        cell[0], cell[1], dc_fibers=8, failure_tolerance=2,
+                        seed=2020,
+                    ).spec
+                )
+            )
+            for cell in REGION_DIGESTS
+        }
+        assert got == REGION_DIGESTS
+
+    def test_generator_bytes(self):
+        """Seeds 0-199 of the generator, three of which start disconnected."""
+        from repro.region.synthetic import generate_fiber_map
+        from repro.serialize import fiber_map_to_dict
+
+        digest = hashlib.sha256()
+        for seed in range(200):
+            doc = fiber_map_to_dict(generate_fiber_map(seed))
+            digest.update(json.dumps(doc, sort_keys=True).encode("utf-8"))
+        assert digest.hexdigest()[:16] == "f2c4192f5de40459"
+
+    @pytest.mark.parametrize("cell", sorted(DESIGN_DIGESTS))
+    def test_baseline_design_bytes(self, cell):
+        from dataclasses import asdict
+
+        from repro.designs.base import _default_hubs
+        from repro.designs.centralized import CentralizedDesign
+        from repro.designs.semidistributed import cluster_zones
+
+        region = make_region(
+            cell[0], cell[1], dc_fibers=8, failure_tolerance=2, seed=2020
+        ).spec
+        central = CentralizedDesign(region, _default_hubs(region))
+        zoned = cluster_zones(region, 2)
+        doc = {
+            "hubs": central.hubs,
+            "spokes": [
+                [list(k), list(v)] for k, v in sorted(central.spoke_paths().items())
+            ],
+            "central_km": central.max_pair_distance_km(),
+            "central": asdict(central.inventory()),
+            "zones": [[z.name, list(z.dcs), z.hub] for z in zoned.zones],
+            "zoned_km": zoned.max_pair_distance_km(),
+            "zoned": asdict(zoned.inventory()),
+        }
+        assert _text_digest(json.dumps(doc, sort_keys=True)) == DESIGN_DIGESTS[cell]
