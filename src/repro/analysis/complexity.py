@@ -53,15 +53,14 @@ def eps_complexity(plan: IrisPlan) -> ComplexitySummary:
     region = plan.region
     inv = eps_inventory(region, plan.topology)
     # Termination sites: DCs plus every hut where a segment ends (the
-    # degree!=2 nodes of the used topology) — recompute via segments.
-    import networkx as nx
-
-    used = nx.Graph()
+    # degree!=2 nodes of the used topology).
+    degree: dict[str, int] = {}
     for (u, v), cap in plan.topology.edge_capacity.items():
         if cap > 0:
-            used.add_edge(u, v)
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
     dcs = set(region.fiber_map.dcs)
-    switching = {n for n in used.nodes if n in dcs or used.degree(n) != 2}
+    switching = {n for n, d in degree.items() if n in dcs or d != 2}
     in_network = {
         n for n in switching if region.fiber_map.kind(n) is NodeKind.HUT
     }

@@ -24,12 +24,13 @@ former loose keyword         ``PlannerConfig`` field
 ``store=PlanStore(...)``     ``store=PlanStore(...)``
 ``prune_enumeration=False``  ``prune_enumeration=False``
 ``validate=False``           ``validate=False``
-(not previously exposed)     ``trace=True``
 ===========================  =============================
 
 Since 1.11 ``jobs`` alone picks serial or the process pool, and the hose
 cache bound is a fixed module constant: the former backend and hose-cache
-fields, and their environment fallbacks, are gone.
+fields, and their environment fallbacks, are gone. Since 1.14 tracing is
+:func:`repro.obs.tracing` around the call; the former ``trace`` field and
+``last_trace()`` slot are gone.
 
 The module imports lazily: ``import repro`` pulls in :class:`PlannerConfig`
 without loading the planner, simulator, or sweep machinery.
@@ -45,7 +46,6 @@ if TYPE_CHECKING:
     from repro.core.plan import IrisPlan
     from repro.cost.pricebook import PriceBook
     from repro.designs.robust import TrafficEnsembleSpec
-    from repro.obs import SpanRecord
     from repro.region.fibermap import RegionSpec
     from repro.simulation.scenarios import ScenarioConfig, ScenarioResult
     from repro.store import PlanStore
@@ -53,7 +53,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PlannerConfig",
     "apply_delta",
-    "last_trace",
     "plan",
     "simulate",
     "sweep",
@@ -82,11 +81,6 @@ class PlannerConfig:
         is exponentially slower and only useful to validate the pruning.
     ``validate``
         Check every scenario path against TC1-TC4/OC1 after planning.
-    ``trace``
-        Run :func:`plan` under :func:`repro.obs.tracing` and keep the
-        finished span tree retrievable via :func:`last_trace`. Only
-        :func:`plan` honors this; :func:`sweep` ignores it (worker
-        shards are merged by the planner itself).
     ``traffic``
         A :class:`repro.designs.robust.TrafficEnsembleSpec` configuring
         the TM ensemble for ``design="robust"`` (default spec when
@@ -99,21 +93,10 @@ class PlannerConfig:
     store: "PlanStore | None" = None
     prune_enumeration: bool = True
     validate: bool = True
-    trace: bool = False
     traffic: "TrafficEnsembleSpec | None" = None
 
 
 _DEFAULT_CONFIG = PlannerConfig()
-
-# Single-slot holder for the most recent trace captured by ``plan(...,
-# config=PlannerConfig(trace=True))``; a mutable container rather than a
-# rebound module global so readers always see the latest record.
-_LAST_TRACE: list = [None]
-
-
-def last_trace() -> "SpanRecord | None":
-    """The span tree of the most recent traced :func:`plan` call, if any."""
-    return _LAST_TRACE[0]
 
 
 def plan(
@@ -131,24 +114,9 @@ def plan(
     :func:`repro.designs.get_design` and returns its
     :class:`~repro.cost.estimator.Inventory`; extra ``design_options``
     (e.g. ``hubs=`` for ``"centralized"``) are forwarded to the designer.
+    To trace a call, run it under :func:`repro.obs.tracing`.
     """
     config = config or _DEFAULT_CONFIG
-    if config.trace:
-        from repro import obs
-
-        with obs.tracing("repro.api.plan") as tracer:
-            result = _plan(region, design, config, design_options)
-        _LAST_TRACE[0] = tracer.record()
-        return result
-    return _plan(region, design, config, design_options)
-
-
-def _plan(
-    region: "RegionSpec",
-    design: str,
-    config: PlannerConfig,
-    design_options: dict[str, Any],
-) -> Any:
     if design == "iris" and not design_options:
         from repro.core.planner import _plan_region
 

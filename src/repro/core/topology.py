@@ -25,7 +25,6 @@ bit-identical to serial ones.
 from __future__ import annotations
 
 import itertools
-from heapq import heappop, heappush
 from typing import Any, Mapping, Protocol, Sequence
 
 from repro import obs
@@ -65,32 +64,18 @@ def compute_scenario_paths(
     Raises :class:`InfeasibleRegionError` if any pair disconnects or (when
     ``sla_fiber_km`` is given) exceeds the SLA distance — under OC4, the
     operational constraints must keep holding in every tolerated scenario.
-    The paths are exactly ``nx.single_source_dijkstra``'s on
-    ``fmap.subgraph_without(scenario)``, equal-length ties included (see
-    :func:`_dijkstra`).
+    The paths are :meth:`FiberMap.dijkstra`'s, equal-length ties included.
     """
-    return _scenario_paths(_adjacency(fmap), fmap.dcs, scenario, sla_fiber_km)
-
-
-#: Per node, its ducts as (neighbour, length_km, duct key), in the order
-#: of ``fmap.graph.adj`` — the order networkx's Dijkstra relaxes them in.
-_Adjacency = dict[str, list[tuple[str, float, Duct]]]
-
-
-def _adjacency(fmap: FiberMap) -> _Adjacency:
-    return {
-        u: [(v, data["length_km"], duct_key(u, v)) for v, data in nbrs.items()]
-        for u, nbrs in fmap.graph.adj.items()
-    }
+    return _scenario_paths(fmap, fmap.dcs, scenario, sla_fiber_km)
 
 
 def _scenario_paths(
-    adjacency: _Adjacency,
+    fmap: FiberMap,
     dcs: Sequence[str],
     scenario: Scenario,
     sla_fiber_km: float | None,
 ) -> dict[Pair, tuple[str, ...]]:
-    """:func:`compute_scenario_paths` on a prebuilt adjacency.
+    """:func:`compute_scenario_paths` with the map's DCs listed once.
 
     One Dijkstra per source DC, searching only until the DCs above it
     (its pairs' targets) settle; the last DC has none and runs no search.
@@ -101,7 +86,7 @@ def _scenario_paths(
     paths: dict[Pair, tuple[str, ...]] = {}
     for i, source in enumerate(dcs[:-1]):
         targets = dcs[i + 1 :]
-        dist, pred = _dijkstra(adjacency, source, targets, cut)
+        dist, pred = fmap.dijkstra(source, targets, cut)
         for target in targets:
             pair = pair_key(source, target)
             if target not in dist:
@@ -126,50 +111,6 @@ def _scenario_paths(
     return paths
 
 
-def _dijkstra(
-    adjacency: _Adjacency,
-    source: str,
-    targets: Sequence[str],
-    cut: set[Duct],
-) -> tuple[dict[str, float], dict[str, str]]:
-    """Dijkstra from ``source`` without the ``cut`` ducts, stopped once
-    every target has settled. Returns the settled nodes' distances and
-    every reached node's predecessor.
-
-    The tie-breaks are networkx's (``single_source_dijkstra``): neighbours
-    relax in adjacency order, heap entries are ``(dist, push_counter,
-    node)``, a predecessor is replaced only on a strict improvement, and
-    distances are summed as ``dist + length_km``. A settled node's
-    distance and predecessor never change again, so stopping early
-    returns the same routes to the targets as a full search.
-    """
-    dist: dict[str, float] = {}
-    seen: dict[str, float] = {source: 0}
-    pred: dict[str, str] = {}
-    fringe: list[tuple[float, int, str]] = [(0, 0, source)]
-    pushes = 1
-    waiting = set(targets)
-    while fringe:
-        d, _, v = heappop(fringe)
-        if v in dist:
-            continue
-        dist[v] = d
-        if v in waiting:
-            waiting.remove(v)
-            if not waiting:
-                break
-        for u, length_km, duct in adjacency[v]:
-            if u in dist or duct in cut:
-                continue
-            du = d + length_km
-            if u not in seen or du < seen[u]:
-                seen[u] = du
-                pred[u] = v
-                heappush(fringe, (du, pushes, u))
-                pushes += 1
-    return dist, pred
-
-
 def _used_ducts(paths: Mapping[Pair, tuple[str, ...]]) -> set[Duct]:
     used: set[Duct] = set()
     for path in paths.values():
@@ -184,10 +125,9 @@ def _paths_chunk(
     """Worker: evaluate one chunk of scenarios (module-level for pickling)."""
     fmap, sla_fiber_km = shared
     obs.incr("paths.scenarios", len(scenarios))
-    adjacency = _adjacency(fmap)
     dcs = fmap.dcs
     out = [
-        _scenario_paths(adjacency, dcs, scenario, sla_fiber_km)
+        _scenario_paths(fmap, dcs, scenario, sla_fiber_km)
         for scenario in scenarios
     ]
     obs.incr("enumerate.dijkstra_runs", len(scenarios) * max(len(dcs) - 1, 0))

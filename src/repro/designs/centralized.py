@@ -9,7 +9,6 @@ and the reference point for the paper's latency (Fig 3), siting-flexibility
 from __future__ import annotations
 
 from dataclasses import dataclass
-import networkx as nx
 
 from repro.cost.estimator import Inventory
 from repro.exceptions import InfeasibleRegionError, RegionError
@@ -59,16 +58,18 @@ class CentralizedDesign:
         """(dc, hub) -> shortest path for every DC-hub spoke."""
         fmap = self.region.fiber_map
         out: dict[tuple[str, str], tuple[str, ...]] = {}
+        dcs = self.region.dcs
         for hub in self.hubs:
-            lengths, routes = nx.single_source_dijkstra(
-                fmap.graph, hub, weight="length_km"
-            )
-            for dc in self.region.dcs:
+            lengths, pred = fmap.dijkstra(hub, dcs)
+            for dc in dcs:
                 if dc not in lengths:
                     raise InfeasibleRegionError(
                         f"DC {dc} cannot reach hub {hub}", pair=(dc, hub)
                     )
-                out[(dc, hub)] = tuple(reversed(routes[dc]))
+                route = [dc]
+                while route[-1] != hub:
+                    route.append(pred[route[-1]])
+                out[(dc, hub)] = tuple(route)
         return out
 
     def spoke_length_km(self, dc: str, hub: str) -> float:

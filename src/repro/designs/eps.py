@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
-
 from repro.core.plan import TopologyPlan
 from repro.cost.estimator import Inventory
 from repro.exceptions import PlanningError
@@ -36,45 +34,43 @@ def eps_segments(
     ``termination_pairs`` counts the electrical terminations (>= 2; more
     when TC1 reach forces mid-segment regeneration).
     """
-    used = nx.Graph()
+    # Node -> neighbour -> (capacity, length_km) over the used ducts.
+    used: dict[str, dict[str, tuple[int, float]]] = {}
     for (u, v), cap in topology.edge_capacity.items():
         if cap > 0:
-            used.add_edge(u, v, capacity=cap, length=region.fiber_map.duct_length(u, v))
+            link = (cap, region.fiber_map.duct_length(u, v))
+            used.setdefault(u, {})[v] = link
+            used.setdefault(v, {})[u] = link
 
     dcs = set(region.fiber_map.dcs)
-    switching = {
-        n for n in used.nodes if n in dcs or used.degree(n) != 2
-    }
+    switching = {n for n, nbrs in used.items() if n in dcs or len(nbrs) != 2}
     # Degenerate case: a pure cycle of huts has no switching node; pick one.
-    if not switching and used.number_of_nodes():
-        switching = {sorted(used.nodes)[0]}
+    if not switching and used:
+        switching = {min(used)}
 
     segments: list[tuple[int, float, int]] = []
     visited: set[tuple[str, str]] = set()
     for start in sorted(switching):
-        for neighbor in sorted(used.neighbors(start)):
+        for neighbor in sorted(used[start]):
             if duct_key(start, neighbor) in visited:
                 continue
             # Walk the chain until the next switching node.
-            chain = [start, neighbor]
-            length = used.edges[start, neighbor]["length"]
-            capacity = used.edges[start, neighbor]["capacity"]
+            capacity, length = used[start][neighbor]
             visited.add(duct_key(start, neighbor))
             prev, node = start, neighbor
             while node not in switching:
-                nxt = [n for n in used.neighbors(node) if n != prev]
+                nxt = [n for n in used[node] if n != prev]
                 if len(nxt) != 1:
                     raise PlanningError(
-                        f"chain walk broke at {node}: degree "
-                        f"{used.degree(node)}"
+                        f"chain walk broke at {node}: degree {len(used[node])}"
                     )
                 prev, node = node, nxt[0]
                 visited.add(duct_key(prev, node))
-                length += used.edges[prev, node]["length"]
+                link_capacity, link_km = used[prev][node]
+                length += link_km
                 # All ducts of a degree-2 chain carry the same path set,
                 # hence the same capacity; keep the max defensively.
-                capacity = max(capacity, used.edges[prev, node]["capacity"])
-                chain.append(node)
+                capacity = max(capacity, link_capacity)
             # Electrical regeneration splits segments beyond TC1 reach.
             pieces = max(1, math.ceil(length / MAX_SPAN_KM))
             segments.append((capacity, length, 2 * pieces))

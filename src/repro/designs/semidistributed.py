@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import networkx as nx
-
 from repro.cost.estimator import Inventory
 from repro.exceptions import RegionError
 from repro.region.fibermap import Duct, RegionSpec, duct_key
@@ -210,12 +208,7 @@ def cluster_zones(
 def _best_hub(region: RegionSpec, zone_dcs: Sequence[str]) -> str:
     """The hut minimizing the worst spoke fiber distance for a zone."""
     fmap = region.fiber_map
-    dist_maps = {
-        dc: nx.single_source_dijkstra_path_length(
-            fmap.graph, dc, weight="length_km"
-        )
-        for dc in zone_dcs
-    }
+    dist_maps = {dc: fmap.dijkstra(dc)[0] for dc in zone_dcs}
     best_hub, best_score = None, None
     for hut in fmap.huts:
         worst = 0.0

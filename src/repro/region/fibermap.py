@@ -15,11 +15,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from heapq import heappop, heappush
+from typing import Any, Collection, Iterable, Iterator, Mapping, Sequence
 
-import networkx as nx
-
-from repro.exceptions import RegionError
+from repro.exceptions import InfeasibleRegionError, RegionError
 from repro.region.geometry import Point
 from repro.units import (
     GBPS_PER_WAVELENGTH_400ZR,
@@ -52,16 +51,27 @@ class NodeKind(enum.Enum):
     HUT = "hut"
 
 
+#: One duct as an end node lists it: (other end, length_km, duct key).
+_Edge = tuple[str, float, Duct]
+
+
 class FiberMap:
     """The region's available fiber plant: DCs, huts, and ducts.
 
-    Thin wrapper over an undirected :class:`networkx.Graph`; nodes carry a
-    ``kind`` and planar ``(x, y)`` coordinates in km, edges carry the duct's
-    fiber ``length_km``.
+    An undirected graph in plain dicts: nodes carry a ``kind`` and planar
+    ``(x, y)`` coordinates in km, ducts their fiber ``length_km``. Each
+    node lists its ducts in the order they were added, and that order is
+    the tie-break contract of every shortest path (see :meth:`dijkstra`).
+    Adding, removing and copying keep the orders networkx's ``Graph``
+    does, so plans are the same bytes as when the map was one.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._nodes: dict[str, tuple[NodeKind, float, float]] = {}
+        self._adj: dict[str, list[_Edge]] = {}
+        #: Duct -> length, in the order the ducts were added: every node's
+        #: list above is in this order too.
+        self._ducts: dict[Duct, float] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -74,9 +84,10 @@ class FiberMap:
         self._add_node(name, NodeKind.DC, x, y)
 
     def _add_node(self, name: str, kind: NodeKind, x: float, y: float) -> None:
-        if name in self._graph:
+        if name in self._nodes:
             raise RegionError(f"node {name!r} already exists")
-        self._graph.add_node(name, kind=kind, x=float(x), y=float(y))
+        self._nodes[name] = (kind, float(x), float(y))
+        self._adj[name] = []
 
     def add_duct(self, u: str, v: str, length_km: float | None = None) -> Duct:
         """Add a fiber duct between two existing nodes.
@@ -86,23 +97,30 @@ class FiberMap:
         length to model street-level routing.
         """
         for n in (u, v):
-            if n not in self._graph:
+            if n not in self._nodes:
                 raise RegionError(f"cannot add duct: unknown node {n!r}")
         key = duct_key(u, v)
-        if self._graph.has_edge(u, v):
+        if key in self._ducts:
             raise RegionError(f"duct {key} already exists")
         if length_km is None:
             length_km = self.position(u).distance_to(self.position(v))
         if length_km <= 0:
             raise RegionError(f"duct {key} must have positive length")
-        self._graph.add_edge(u, v, length_km=float(length_km))
+        self._link(u, v, float(length_km), key)
         return key
+
+    def _link(self, u: str, v: str, length_km: float, key: Duct) -> None:
+        self._ducts[key] = length_km
+        self._adj[u].append((v, length_km, key))
+        self._adj[v].append((u, length_km, key))
 
     def remove_duct(self, u: str, v: str) -> None:
         """Remove a duct (used when pruning spans beyond TC1 reach)."""
-        if not self._graph.has_edge(u, v):
+        if not self.has_duct(u, v):
             raise RegionError(f"no duct between {u!r} and {v!r}")
-        self._graph.remove_edge(u, v)
+        del self._ducts[duct_key(u, v)]
+        self._adj[u] = [edge for edge in self._adj[u] if edge[0] != v]
+        self._adj[v] = [edge for edge in self._adj[v] if edge[0] != u]
 
     def remove_node(self, name: str) -> None:
         """Remove a node and every duct incident to it.
@@ -110,72 +128,82 @@ class FiberMap:
         Used when a DC (or hut) site leaves the region entirely — e.g. a
         ``dc_detached`` delta; its tie-in ducts go with it.
         """
-        if name not in self._graph:
+        if name not in self._nodes:
             raise RegionError(f"cannot remove unknown node {name!r}")
-        self._graph.remove_node(name)
+        del self._nodes[name]
+        for v, _, key in self._adj.pop(name):
+            del self._ducts[key]
+            self._adj[v] = [edge for edge in self._adj[v] if edge[0] != name]
 
     def copy(self) -> "FiberMap":
-        """An independent deep copy of this map."""
+        """An independent copy of this map, built as ``nx.Graph.copy()``
+        builds one: the nodes in order, then each node's ducts in its own
+        order, a duct placed at the first of its two visits. A node can
+        list its neighbours in another order than here (after B-C then
+        A-B, B lists C, A; its copy lists A, C), and the copy's order is
+        the one its shortest paths follow.
+        """
         clone = FiberMap()
-        clone._graph = self._graph.copy()
+        clone._nodes = dict(self._nodes)
+        clone._adj = {name: [] for name in self._nodes}
+        for u, edges in self._adj.items():
+            for v, length_km, key in edges:
+                if key not in clone._ducts:
+                    clone._link(u, v, length_km, key)
         return clone
 
     # -- inspection ----------------------------------------------------------
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying graph (treat as read-only)."""
-        return self._graph
-
-    @property
     def dcs(self) -> list[str]:
         """Names of all DC nodes, sorted."""
-        return sorted(
-            n for n, d in self._graph.nodes(data=True) if d["kind"] is NodeKind.DC
-        )
+        return sorted(n for n, d in self._nodes.items() if d[0] is NodeKind.DC)
 
     @property
     def huts(self) -> list[str]:
         """Names of all hut nodes, sorted."""
-        return sorted(
-            n for n, d in self._graph.nodes(data=True) if d["kind"] is NodeKind.HUT
-        )
+        return sorted(n for n, d in self._nodes.items() if d[0] is NodeKind.HUT)
 
     @property
     def nodes(self) -> list[str]:
         """All node names, sorted."""
-        return sorted(self._graph.nodes)
+        return sorted(self._nodes)
 
     @property
     def ducts(self) -> list[Duct]:
         """All duct keys, sorted."""
-        return sorted(duct_key(u, v) for u, v in self._graph.edges)
+        return sorted(self._ducts)
 
     def kind(self, name: str) -> NodeKind:
         """The :class:`NodeKind` of node ``name``."""
-        try:
-            return self._graph.nodes[name]["kind"]
-        except KeyError:
-            raise RegionError(f"unknown node {name!r}") from None
+        return self._node(name)[0]
 
     def position(self, name: str) -> Point:
         """Planar position of node ``name``."""
+        _, x, y = self._node(name)
+        return Point(x, y)
+
+    def _node(self, name: str) -> tuple[NodeKind, float, float]:
         try:
-            data = self._graph.nodes[name]
+            return self._nodes[name]
         except KeyError:
             raise RegionError(f"unknown node {name!r}") from None
-        return Point(data["x"], data["y"])
+
+    def neighbors(self, name: str) -> list[str]:
+        """The nodes ducted to ``name``, in the order its ducts were added."""
+        self._node(name)
+        return [v for v, _, _ in self._adj[name]]
 
     def duct_length(self, u: str, v: str) -> float:
         """Fiber length of the duct between ``u`` and ``v`` in km."""
-        try:
-            return self._graph.edges[u, v]["length_km"]
-        except KeyError:
-            raise RegionError(f"no duct between {u!r} and {v!r}") from None
+        length = self._ducts.get((u, v) if u <= v else (v, u))
+        if length is None:
+            raise RegionError(f"no duct between {u!r} and {v!r}")
+        return length
 
     def has_duct(self, u: str, v: str) -> bool:
         """Whether a duct exists between ``u`` and ``v``."""
-        return self._graph.has_edge(u, v)
+        return ((u, v) if u <= v else (v, u)) in self._ducts
 
     def dc_pairs(self) -> list[tuple[str, str]]:
         """All unordered DC pairs, canonically ordered."""
@@ -183,20 +211,53 @@ class FiberMap:
 
     # -- paths ----------------------------------------------------------------
 
-    def subgraph_without(self, failed_ducts: Iterable[Duct]) -> nx.Graph:
-        """A graph view of the map with ``failed_ducts`` removed.
+    def dijkstra(
+        self,
+        source: str,
+        targets: Iterable[str] = (),
+        cut: Collection[Duct] = (),
+    ) -> tuple[dict[str, float], dict[str, str]]:
+        """Dijkstra from ``source`` without the ``cut`` ducts (canonical
+        keys), stopped once every node in ``targets`` has settled; with no
+        targets, every reachable node settles. Returns the settled nodes'
+        distances, in settle order, and every reached node's predecessor.
 
-        A "fiber cut" in the paper is a duct destruction: all fibers in the
-        duct are lost at once (OC4), so removal is at duct granularity.
+        The tie-breaks are networkx's (``single_source_dijkstra``):
+        neighbours relax in adjacency order, heap entries are ``(dist,
+        push_counter, node)``, a predecessor is replaced only on a strict
+        improvement, and distances are summed as ``dist + length_km``. A
+        settled node's distance and predecessor never change again, so
+        stopping early returns the same routes to the targets as a full
+        search. Raises :class:`RegionError` for an unknown ``source``.
         """
-        excluded = {duct_key(u, v) for u, v in failed_ducts}
-        if not excluded:
-            return self._graph
-
-        def edge_ok(u: str, v: str) -> bool:
-            return duct_key(u, v) not in excluded
-
-        return nx.subgraph_view(self._graph, filter_edge=edge_ok)
+        adjacency = self._adj
+        if source not in adjacency:
+            raise RegionError(f"unknown node {source!r}")
+        dist: dict[str, float] = {}
+        seen: dict[str, float] = {source: 0}
+        pred: dict[str, str] = {}
+        fringe: list[tuple[float, int, str]] = [(0, 0, source)]
+        pushes = 1
+        waiting = set(targets)
+        while fringe:
+            d, _, v = heappop(fringe)
+            if v in dist:
+                continue
+            dist[v] = d
+            if v in waiting:
+                waiting.remove(v)
+                if not waiting:
+                    break
+            for u, length_km, duct in adjacency[v]:
+                if u in dist or duct in cut:
+                    continue
+                du = d + length_km
+                if u not in seen or du < seen[u]:
+                    seen[u] = du
+                    pred[u] = v
+                    heappush(fringe, (du, pushes, u))
+                    pushes += 1
+        return dist, pred
 
     def shortest_path(
         self, a: str, b: str, exclude_ducts: Iterable[Duct] = ()
@@ -204,13 +265,18 @@ class FiberMap:
         """Shortest fiber path from ``a`` to ``b``, optionally under failures.
 
         Returns ``(length_km, node_list)``. Raises
-        :class:`networkx.NetworkXNoPath` if disconnected.
+        :class:`InfeasibleRegionError` if the cut leaves them disconnected
+        and :class:`RegionError` for an unknown node.
         """
-        graph = self.subgraph_without(exclude_ducts)
-        length, path = nx.single_source_dijkstra(
-            graph, a, target=b, weight="length_km"
-        )
-        return length, path
+        self._node(b)
+        cut = _canonical(exclude_ducts)
+        dist, pred = self.dijkstra(a, (b,), cut)
+        if b not in dist:
+            raise InfeasibleRegionError(
+                f"no fiber path from {a!r} to {b!r} with ducts {sorted(cut)} cut",
+                pair=pair_key(a, b),
+            )
+        return dist[b], _route(pred, a, b)
 
     def fiber_distance(self, a: str, b: str) -> float:
         """Shortest-path fiber distance between two nodes, km."""
@@ -220,8 +286,32 @@ class FiberMap:
         self, source: str, exclude_ducts: Iterable[Duct] = ()
     ) -> tuple[dict[str, float], dict[str, list[str]]]:
         """Dijkstra distances and paths from ``source`` to every node."""
-        graph = self.subgraph_without(exclude_ducts)
-        return nx.single_source_dijkstra(graph, source, weight="length_km")
+        dist, pred = self.dijkstra(source, (), _canonical(exclude_ducts))
+        return dist, {node: _route(pred, source, node) for node in dist}
+
+    def subgraph_without(self, failed_ducts: Iterable[Duct]) -> Any:
+        """A ``networkx.Graph`` copy of the map with ``failed_ducts`` removed.
+
+        A "fiber cut" in the paper is a duct destruction: all fibers in the
+        duct are lost at once (OC4), so removal is at duct granularity.
+
+        Only the tests' reference searches and the benchmark suite's
+        bypass deltas use it; nothing in the package does. Every node
+        lists its neighbours in this map's own order, because the ducts
+        are added in the order this map gained them.
+        """
+        import networkx as nx
+
+        excluded = _canonical(failed_ducts)
+        graph = nx.Graph()
+        for name, (kind, x, y) in self._nodes.items():
+            graph.add_node(name, kind=kind, x=x, y=y)
+        graph.add_edges_from(
+            (u, v, {"length_km": length_km})
+            for (u, v), length_km in self._ducts.items()
+            if (u, v) not in excluded
+        )
+        return graph
 
     def path_length(self, path: Sequence[str]) -> float:
         """Total fiber length of an explicit node path, km."""
@@ -236,16 +326,33 @@ class FiberMap:
     # -- misc ------------------------------------------------------------------
 
     def __contains__(self, name: object) -> bool:
-        return name in self._graph
+        return name in self._nodes
+
+    def __iter__(self) -> Iterator[str]:
+        """Node names in the order they were added (not sorted)."""
+        return iter(self._nodes)
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     def __repr__(self) -> str:
         return (
             f"FiberMap(dcs={len(self.dcs)}, huts={len(self.huts)}, "
-            f"ducts={self._graph.number_of_edges()})"
+            f"ducts={len(self._ducts)})"
         )
+
+
+def _canonical(ducts: Iterable[Duct]) -> set[Duct]:
+    return {duct_key(u, v) for u, v in ducts}
+
+
+def _route(pred: Mapping[str, str], source: str, target: str) -> list[str]:
+    """The ``source`` -> ``target`` path a predecessor map holds."""
+    route = [target]
+    while route[-1] != source:
+        route.append(pred[route[-1]])
+    route.reverse()
+    return route
 
 
 @dataclass(frozen=True)

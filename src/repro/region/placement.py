@@ -19,8 +19,6 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import networkx as nx
-
 from repro.exceptions import RegionError
 from repro.region.fibermap import FiberMap
 from repro.region.geometry import Point, grid_points
@@ -93,12 +91,7 @@ def node_distance_maps(
     fmap: FiberMap, targets: Sequence[str]
 ) -> dict[str, dict[str, float]]:
     """Dijkstra distance maps rooted at each target node."""
-    out = {}
-    for target in targets:
-        out[target] = nx.single_source_dijkstra_path_length(
-            fmap.graph, target, weight="length_km"
-        )
-    return out
+    return {target: fmap.dijkstra(target)[0] for target in targets}
 
 
 def place_dcs(
@@ -172,9 +165,7 @@ def place_dcs(
         )
         placed.append(name)
         placed_points.append(point)
-        dist_maps[name] = nx.single_source_dijkstra_path_length(
-            fmap.graph, name, weight="length_km"
-        )
+        dist_maps[name] = fmap.dijkstra(name)[0]
         available.remove(chosen)
 
     return placed

@@ -21,8 +21,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.exceptions import RegionError
 from repro.region.fibermap import FiberMap
 from repro.region.geometry import Point
@@ -127,12 +125,10 @@ def _repair_connectivity(
     fmap: FiberMap, config: SyntheticMapConfig, rng: random.Random
 ) -> None:
     """Add shortest missing ducts until the hut backbone is robust enough."""
-    graph = fmap.graph
     # First make it connected at all.
-    while not nx.is_connected(graph):
-        components = [sorted(c) for c in nx.connected_components(graph)]
+    while len(components := _components(fmap)) > 1:
         best: tuple[float, str, str] | None = None
-        for ca, cb in itertools.combinations(components, 2):
+        for ca, cb in itertools.combinations(map(sorted, components), 2):
             for u in ca:
                 pu = fmap.position(u)
                 for v in cb:
@@ -147,15 +143,14 @@ def _repair_connectivity(
     # nearby non-neighbour.
     target = config.min_edge_connectivity
     guard = 0
-    while nx.edge_connectivity(graph) < target:
+    while not _is_k_edge_connected(fmap, target):
         guard += 1
         if guard > 200:
             raise RegionError("connectivity repair did not converge")
-        weakest = min(graph.nodes, key=lambda n: (graph.degree(n), n))
+        nodes = fmap.nodes
+        weakest = min(nodes, key=lambda n: (len(fmap.neighbors(n)), n))
         candidates = [
-            n
-            for n in graph.nodes
-            if n != weakest and not graph.has_edge(weakest, n)
+            n for n in nodes if n != weakest and not fmap.has_duct(weakest, n)
         ]
         if not candidates:
             raise RegionError("cannot repair connectivity: graph is complete")
@@ -165,6 +160,66 @@ def _repair_connectivity(
         )
         length = pw.distance_to(fmap.position(nearest)) * 1.3
         fmap.add_duct(weakest, nearest, length_km=max(length, 0.25))
+
+
+def _components(fmap: FiberMap) -> list[set[str]]:
+    """The map's connected components in ``nx.connected_components``'
+    order: one search from each node not yet reached, in insertion order.
+    The repair above breaks distance ties by that order."""
+    reached: set[str] = set()
+    components = []
+    for start in fmap:
+        if start in reached:
+            continue
+        component = {start}
+        stack = [start]
+        while stack:
+            for nbr in fmap.neighbors(stack.pop()):
+                if nbr not in component:
+                    component.add(nbr)
+                    stack.append(nbr)
+        reached |= component
+        components.append(component)
+    return components
+
+
+def _is_k_edge_connected(fmap: FiberMap, k: int) -> bool:
+    """Whether no ``k - 1`` duct cuts can disconnect the map.
+
+    The edge connectivity is the least, over every other node, of the
+    number of duct-disjoint paths between it and one fixed node (every
+    minimum cut separates the fixed node from some node). So this finds
+    up to ``k`` unit augmenting paths from the first node to each other
+    node and stops at the first that has fewer; a node of degree below
+    ``k`` answers at once.
+    """
+    nodes = list(fmap)
+    if any(len(fmap.neighbors(n)) < k for n in nodes):
+        return False
+    source = nodes[0]
+    for sink in nodes[1:]:
+        # flow[u, v] is the flow from u to v, -flow[v, u]; a duct carries
+        # at most one unit either way, so u -> v has room while it is < 1.
+        flow: dict[tuple[str, str], int] = {}
+        for _ in range(k):
+            parent = {source: source}
+            queue = [source]
+            for node in queue:
+                if node == sink:
+                    break
+                for nbr in fmap.neighbors(node):
+                    if nbr not in parent and flow.get((node, nbr), 0) < 1:
+                        parent[nbr] = node
+                        queue.append(nbr)
+            if sink not in parent:
+                return False
+            node = sink
+            while node != source:
+                prev = parent[node]
+                flow[prev, node] = flow.get((prev, node), 0) + 1
+                flow[node, prev] = flow.get((node, prev), 0) - 1
+                node = prev
+    return True
 
 
 def attach_dc(

@@ -78,13 +78,7 @@ from repro.core.engine import CancelToken
 from repro.core.failures import Scenario
 from repro.core.plan import IrisPlan, Pair, TopologyPlan
 from repro.core.planner import IrisPlanner
-from repro.core.topology import (
-    _Adjacency,
-    _adjacency,
-    _dijkstra,
-    plan_topology,
-    prune_overlong_ducts,
-)
+from repro.core.topology import plan_topology, prune_overlong_ducts
 from repro.exceptions import PlanningError
 from repro.region.delta import RegionDelta
 from repro.region.fibermap import Duct, FiberMap, RegionSpec, duct_key
@@ -147,7 +141,6 @@ class DeltaPathOracle:
         #: *new* map for ``cut`` (d already absent), the *old* map for
         #: ``add`` (d not yet present).
         self.check_map = check_map
-        self._adjacency: _Adjacency | None = None
         self.stats = DeltaStats(mode=mode)
 
     def lookup(self, scenario: Scenario) -> dict[Pair, tuple[str, ...]] | None:
@@ -192,12 +185,10 @@ class DeltaPathOracle:
         assert self.length_km is not None
         self.stats.checked += 1
         u, v = self.duct
-        if self._adjacency is None:
-            self._adjacency = _adjacency(self.check_map)
-        if u not in self._adjacency:
+        if u not in self.check_map:
             return False
         cut = {duct_key(a, b) for a, b in scenario}
-        dist, _ = _dijkstra(self._adjacency, u, [v], cut)
+        dist, _ = self.check_map.dijkstra(u, (v,), cut)
         return v in dist and dist[v] < self.length_km - _STRICT_EPS
 
 

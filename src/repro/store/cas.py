@@ -339,31 +339,31 @@ class PlanStore:
     def verify(self, *, repair: bool = False) -> list[str]:
         """Check every blob as :meth:`get_text` would; list the problems.
 
-        With ``repair=True`` the blobs it names are deleted (so they
-        become ordinary misses); without it the store is left untouched —
-        ``get`` already refuses to return them.
+        With ``repair=True`` the files it names are deleted, stray names
+        included (so they become ordinary misses); without it the store is
+        left untouched — ``get`` already refuses to return them.
         """
         with obs.span("store.verify"):
             problems: list[str] = []
-            bad_keys: list[str] = []
+            bad_paths: list[Path] = []
             for path in self._blob_files():
                 key = path.stem
                 try:
                     text = path.read_text(encoding="utf-8")
                 except (OSError, UnicodeDecodeError) as exc:
                     problems.append(f"{key}: unreadable blob ({exc})")
-                    bad_keys.append(key)
+                    bad_paths.append(path)
                     continue
                 if _payload_text(key, text, None) is None:
                     problems.append(
                         f"{key}: digest mismatch, malformed envelope or "
                         "another store schema"
                     )
-                    bad_keys.append(key)
-            if repair and bad_keys:
-                for key in bad_keys:
-                    self.blob_path(key).unlink(missing_ok=True)
-                self.corrupt += len(bad_keys)
+                    bad_paths.append(path)
+            if repair and bad_paths:
+                for path in bad_paths:
+                    path.unlink(missing_ok=True)
+                self.corrupt += len(bad_paths)
         return problems
 
     def stats(self) -> StoreStats:

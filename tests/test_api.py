@@ -4,7 +4,6 @@ import warnings
 
 import pytest
 
-from repro import api
 from repro.api import PlannerConfig, plan, simulate, sweep
 from repro.core.plan import IrisPlan
 from repro.cost.estimator import Inventory
@@ -33,10 +32,9 @@ class TestPlannerConfig:
         assert config.store is None
         assert config.prune_enumeration is True
         assert config.validate is True
-        assert config.trace is False
         assert config.traffic is None
         assert [f.name for f in dataclasses.fields(PlannerConfig)] == [
-            "jobs", "store", "prune_enumeration", "validate", "trace", "traffic",
+            "jobs", "store", "prune_enumeration", "validate", "traffic",
         ]
 
 
@@ -63,14 +61,6 @@ class TestPlan:
 
         with pytest.raises(ReproError):
             plan(small_region, design="quantum")
-
-    def test_trace_captures_span_tree(self, small_region):
-        result = plan(small_region, config=PlannerConfig(trace=True))
-        assert result.validate() == []
-        record = api.last_trace()
-        assert record is not None
-        assert record.name == "repro.api.plan"
-        assert record.total("hose.lookups") > 0
 
 
 class TestSweep:
@@ -114,4 +104,4 @@ class TestTopLevelExports:
         assert repro.sweep is sweep
         assert repro.simulate is simulate
         assert repro.PlannerConfig is PlannerConfig
-        assert repro.__version__ == "1.13.0"
+        assert repro.__version__ == "1.14.0"

@@ -118,15 +118,22 @@ class TestStdlibSpecialFunctions:
         assert required_osnr_db(target) == pytest.approx(expected, rel=1e-12)
 
 
-def test_planner_loads_neither_numpy_nor_scipy():
-    """No runtime path imports numpy or scipy: not the facade, the daemon,
-    the testbed, nor a full golden-region plan."""
+def test_planner_loads_no_numpy_scipy_or_networkx():
+    """No runtime path imports numpy, scipy or networkx: not the facade,
+    the CLI, the daemon, the testbed, building a 10-DC region, a full
+    golden-region plan, nor the centralized and semi-distributed designs."""
     script = (
         "import sys\n"
-        "import repro.api, repro.service.daemon, repro.testbed\n"
+        "import repro.api, repro.cli, repro.service.daemon, repro.testbed\n"
         "from repro.region.catalog import make_region\n"
-        "repro.api.plan(make_region(0, 5, dc_fibers=8).spec)\n"
-        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        "make_region(0, 10, dc_fibers=8)\n"
+        "region = make_region(0, 5, dc_fibers=8).spec\n"
+        "repro.api.plan(region)\n"
+        "repro.api.plan(region, design='centralized')\n"
+        "repro.api.plan(region, design='semidistributed')\n"
+        "print(sorted(\n"
+        "    m for m in ('networkx', 'numpy', 'scipy') if m in sys.modules\n"
+        "))\n"
     )
     repo = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))

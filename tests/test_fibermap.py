@@ -3,7 +3,7 @@
 import networkx as nx
 import pytest
 
-from repro.exceptions import RegionError
+from repro.exceptions import InfeasibleRegionError, RegionError
 from repro.region.fibermap import (
     FiberMap,
     NodeKind,
@@ -89,8 +89,19 @@ class TestPaths:
         assert length == pytest.approx(40.0)
 
     def test_exclusion_disconnects(self, toy_map):
-        with pytest.raises(nx.NetworkXNoPath):
-            toy_map.shortest_path("DC1", "DC3", exclude_ducts=[("H1", "H2")])
+        with pytest.raises(InfeasibleRegionError) as exc:
+            toy_map.shortest_path("DC1", "DC3", exclude_ducts=[("H2", "H1")])
+        assert exc.value.pair == ("DC1", "DC3")
+
+    def test_unknown_node_raises_region_error(self, toy_map):
+        for a, b in [("DC1", "NOPE"), ("NOPE", "DC1")]:
+            with pytest.raises(RegionError, match="unknown node"):
+                toy_map.shortest_path(a, b)
+        with pytest.raises(RegionError, match="unknown node"):
+            toy_map.shortest_paths_from("NOPE")
+
+    def test_path_to_itself_is_empty(self, toy_map):
+        assert toy_map.shortest_path("DC1", "DC1") == (0, ["DC1"])
 
     def test_path_length_matches_shortest(self, toy_map):
         length, path = toy_map.shortest_path("DC2", "DC4")
@@ -108,6 +119,72 @@ class TestPaths:
         pairs = toy_map.dc_pairs()
         assert len(pairs) == 6
         assert all(a < b for a, b in pairs)
+
+
+def _neighbour_lists(graph):
+    return {node: list(graph.adj[node]) for node in graph}
+
+
+class TestAdjacencyOrder:
+    """Each node lists its ducts in the order networkx's ``Graph`` would,
+    through adds, removals and copies: that order breaks every
+    equal-length shortest-path tie."""
+
+    @staticmethod
+    def _bc_then_ab():
+        fmap = FiberMap()
+        for name in "ABC":
+            fmap.add_hut(name, 0.0, 0.0)
+        fmap.add_duct("B", "C", length_km=1.0)
+        fmap.add_duct("A", "B", length_km=1.0)
+        return fmap
+
+    def test_copy_reorders_as_networkx_does(self):
+        fmap = self._bc_then_ab()
+        clone = fmap.copy()
+        assert fmap.neighbors("B") == ["C", "A"]
+        assert clone.neighbors("B") == ["A", "C"]
+        reference = nx.Graph()
+        reference.add_nodes_from("ABC")
+        reference.add_edges_from([("B", "C"), ("A", "B")])
+        assert list(reference.adj["B"]) == ["C", "A"]
+        assert list(reference.copy().adj["B"]) == ["A", "C"]
+
+    def test_bridge_keeps_each_maps_order(self):
+        fmap = self._bc_then_ab()
+        for m in (fmap, fmap.copy()):
+            graph = m.subgraph_without([])
+            assert _neighbour_lists(graph) == {n: m.neighbors(n) for n in m}
+            assert list(graph) == list(m)
+
+    def test_edits_track_networkx(self):
+        fmap, reference = FiberMap(), nx.Graph()
+        for i, name in enumerate("EDCBA"):
+            fmap.add_hut(name, float(i), 0.0)
+            reference.add_node(name)
+        for u, v in ["AB", "CE", "BD", "AE", "DE", "BC", "AC", "AD"]:
+            fmap.add_duct(u, v, length_km=1.0)
+            reference.add_edge(u, v)
+
+        def assert_same_order():
+            assert list(fmap) == list(reference)
+            assert {n: fmap.neighbors(n) for n in fmap} == _neighbour_lists(
+                reference
+            )
+            assert fmap.ducts == sorted(duct_key(u, v) for u, v in reference.edges)
+
+        assert_same_order()
+        fmap.remove_duct("A", "E")
+        reference.remove_edge("A", "E")
+        assert_same_order()
+        fmap.remove_node("C")
+        reference.remove_node("C")
+        assert_same_order()
+        fmap.add_duct("E", "A", length_km=1.0)
+        reference.add_edge("E", "A")
+        assert_same_order()
+        fmap, reference = fmap.copy(), reference.copy()
+        assert_same_order()
 
 
 class TestRegionSpec:

@@ -21,7 +21,12 @@ from repro.region.fibermap import (
     duct_key,
 )
 from repro.region.placement import place_dcs
-from repro.region.synthetic import SyntheticMapConfig, generate_fiber_map
+from repro.region.synthetic import (
+    SyntheticMapConfig,
+    _components,
+    _is_k_edge_connected,
+    generate_fiber_map,
+)
 
 
 def build_random_region(seed: int, n_dcs: int, tolerance: int) -> RegionSpec | None:
@@ -163,10 +168,37 @@ class TestGeneratorInvariants:
         fmap = generate_fiber_map(seed)
         import networkx as nx
 
-        assert nx.is_connected(fmap.graph)
-        assert nx.edge_connectivity(fmap.graph) >= 3
+        graph = fmap.subgraph_without([])
+        assert nx.is_connected(graph)
+        connectivity = nx.edge_connectivity(graph)
+        assert connectivity >= 3
+        for k in range(1, connectivity + 2):
+            assert _is_k_edge_connected(fmap, k) == (k <= connectivity)
         for u, v in fmap.ducts:
             geo = fmap.position(u).distance_to(fmap.position(v))
             # Route factor: fiber at least as long as the crow flies
             # (tiny absolute tolerance for clamped jitter at borders).
             assert fmap.duct_length(u, v) >= geo * 0.99 - 0.3
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2000),
+        cuts=st.lists(st.integers(min_value=0, max_value=10_000), max_size=30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_connectivity_checks_match_networkx(self, seed, cuts):
+        """The generator's stdlib checks against networkx's on maps with
+        random ducts cut, disconnected ones included: the components in
+        the same order, and the same k-edge-connected verdicts."""
+        import networkx as nx
+
+        fmap = generate_fiber_map(seed)
+        ducts = fmap.ducts
+        for i in cuts:
+            u, v = ducts[i % len(ducts)]
+            if fmap.has_duct(u, v):
+                fmap.remove_duct(u, v)
+        graph = fmap.subgraph_without([])
+        assert _components(fmap) == list(nx.connected_components(graph))
+        connectivity = nx.edge_connectivity(graph)
+        for k in range(1, connectivity + 2):
+            assert _is_k_edge_connected(fmap, k) == (k <= connectivity)

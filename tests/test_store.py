@@ -263,6 +263,25 @@ class TestPlanStoreCas:
         assert store.get(good) == {"ok": 1}
         assert not store.blob_path(bad).exists()
 
+    def test_repair_removes_a_stray_file(self, tmp_path):
+        """A file whose name is no store key is listed and, on repair,
+        deleted along with a corrupt blob that sorts after it."""
+        store = PlanStore(tmp_path)
+        good, corrupt = "44" * 32, "cd" * 32
+        store.put(good, {"ok": 1})
+        store.put(corrupt, {"ok": 2})
+        store.blob_path(corrupt).write_text("garbage")
+        stray = tmp_path / "objects" / "ab" / "stray.json"
+        stray.parent.mkdir(parents=True, exist_ok=True)
+        stray.write_text("{}")
+        problems = store.verify(repair=True)
+        assert len(problems) == 2
+        assert problems[0].startswith("stray:")
+        assert not stray.exists()
+        assert not store.blob_path(corrupt).exists()
+        assert store.verify() == []
+        assert store.get(good) == {"ok": 1}
+
     def test_stats_inventory(self, tmp_path):
         store = PlanStore(tmp_path)
         store.put("66" * 32, {"a": 1}, kind="plan")
