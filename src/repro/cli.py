@@ -394,7 +394,12 @@ def _failover_drill(region) -> int:
 
 
 def _lint_rule_selection(args):
-    """The rule subset a lint invocation runs (``--disable`` applied)."""
+    """The rule subset a lint invocation runs (``--disable`` applied).
+
+    Returns ``(rules or None, unknown ids)``; an id that names no
+    registered rule is a usage error, so a stale id cannot silently
+    disable nothing.
+    """
     from repro.lint import all_rules
 
     disabled = {
@@ -403,53 +408,11 @@ def _lint_rule_selection(args):
         for rule_id in spec.split(",")
         if rule_id.strip()
     }
+    registered = all_rules()
+    unknown = sorted(disabled - {r.rule_id for r in registered})
     if not disabled:
-        return None, disabled
-    return [r for r in all_rules() if r.rule_id not in disabled], disabled
-
-
-def _lint_fix(args, selected) -> int:
-    """``iris lint --fix [--dry-run]``: apply conservative autofixes."""
-    from repro.lint import (
-        LintUsageError,
-        fix_sources,
-        iter_python_files,
-        unified_diff,
-    )
-
-    try:
-        files = iter_python_files(args.paths)
-        if not files:
-            raise LintUsageError("no Python files to lint under the given paths")
-    except LintUsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    sources = [(str(p), p.read_text(encoding="utf-8")) for p in files]
-    report = fix_sources(
-        sources,
-        rules=selected,
-        report_unused_noqa=args.report_unused_noqa,
-    )
-    if args.dry_run:
-        diff = unified_diff(dict(sources), report)
-        if diff:
-            print(diff, end="")
-        print(
-            f"would apply {report.total_applied} fix(es) in "
-            f"{len(report.changed_paths())} file(s)",
-            file=sys.stderr,
-        )
-    else:
-        for path in report.changed_paths():
-            Path(path).write_text(report.files[path], encoding="utf-8")
-        print(
-            f"applied {report.total_applied} fix(es) in "
-            f"{len(report.changed_paths())} file(s)",
-            file=sys.stderr,
-        )
-    for finding in report.remaining:
-        print(finding.format())
-    return 1 if report.remaining else 0
+        return None, unknown
+    return [r for r in registered if r.rule_id not in disabled], unknown
 
 
 def cmd_lint(args) -> int:
@@ -463,12 +426,14 @@ def cmd_lint(args) -> int:
             print(f"{lint_rule.rule_id}  {lint_rule.title}")
             print(f"      {lint_rule.invariant}")
         return 0
-    selected, _disabled = _lint_rule_selection(args)
-    if args.dry_run and not args.fix:
-        print("usage error: --dry-run requires --fix", file=sys.stderr)
+    selected, unknown = _lint_rule_selection(args)
+    if unknown:
+        print(
+            f"usage error: --disable names unknown rule id(s) {', '.join(unknown)}; "
+            "see iris lint --list-rules",
+            file=sys.stderr,
+        )
         return 2
-    if args.fix:
-        return _lint_fix(args, selected)
     try:
         findings = lint_paths(
             args.paths,
@@ -480,7 +445,7 @@ def cmd_lint(args) -> int:
         return 2
     if args.format == "json":
         payload = {
-            "version": 1,
+            "version": 2,
             "findings": [finding.to_dict() for finding in findings],
             "summary": {
                 "findings": len(findings),
@@ -825,22 +790,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also flag '# repro: noqa' comments that suppress nothing (R900)",
     )
     p.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply conservative autofixes (sorted() wraps, keyword-only "
-        "migration, stale-noqa removal) and report what remains",
-    )
-    p.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="with --fix: print the unified diff instead of writing files",
-    )
-    p.add_argument(
         "--disable",
         action="append",
         metavar="RULES",
         help="comma-separated rule ids to skip (repeatable), "
-        "e.g. --disable R006,R011",
+        "e.g. --disable R003,R006; an unknown id is a usage error",
     )
     p.set_defaults(func=cmd_lint)
 

@@ -1,8 +1,7 @@
 """repro.lint — domain-aware static analysis for planner invariants.
 
 The last releases made planner correctness depend on invariants no single
-test fully enforces: bit-identical serial/parallel plans, a PID-pinned
-hose cache as the only module-level mutable state, monotonic-clock-only
+test fully enforces: bit-identical serial/parallel plans, monotonic-clock-only
 timing, environment-invariant serialization. ``reprolint`` checks those
 properties statically — at review time, not as flaky parity failures.
 
@@ -26,30 +25,25 @@ resolved across files (:mod:`repro.lint.callgraph`), per-function effect
 and unit summaries close transitively over it
 (:mod:`repro.lint.summaries`), and findings fire at call sites arbitrarily
 far from the root cause, quoting the chain. Three pool-safety rules
-(R012-R014) check every callable submitted to the execution backends, and
-a conservative autofixer (:mod:`repro.lint.fix`, ``iris lint --fix``)
-rewrites the mechanical findings.
+(R012-R014) check every callable submitted to the execution backends.
+Each call site is resolved once; the rules look the result up.
 
 Since v4 a fourth phase (:mod:`repro.lint.concurrency`) analyzes the
 thread-shared state the ``iris serve`` daemon introduced: locksets over
 ``with self._lock:`` blocks thread interprocedurally (private helpers
-called under a lock inherit it via a must-analysis fixpoint), a
-``blocking`` effect closes bottom-up like the v3 effects, and a
-may-acquire-after graph over canonical lock names feeds deadlock
-detection. ``iris lint --format sarif`` emits SARIF 2.1.0 for native PR
-annotation in CI.
+called under a lock inherit it via a must-analysis fixpoint), and
+acquired resources must be released on every path. ``iris lint --format
+sarif`` emits SARIF 2.1.0 for native PR annotation in CI.
 
 Rules (see :mod:`repro.lint.rules` and ``iris lint --list-rules``):
 R001 global RNG state, R002 wall-clock reads, R003 float equality on unit
-quantities, R004 unordered iteration, R005 module-level mutable state,
-R006 keyword-only planner config, R007 unit-tag mixing, R008 atomic store
-writes, R009 unordered data into serialization sinks, R010 return unit vs
-name suffix, R011 obs span/counter discipline, R012 pool submissions
-picklable, R013 pool submissions deterministic, R014 pool chunk functions
-pure, R015 guarded-by consistency for thread-shared attributes, R016 no
-blocking calls under a lock, R017 lock acquisition order acyclic, R018
-resources released on every path, R019 threads daemon-or-joined and waits
-time-bounded. Intentional violations carry a ``# repro: noqa-RXXX``
+quantities, R004 unordered iteration, R006 keyword-only planner config,
+R007 unit-tag mixing, R009 unordered data into serialization sinks, R012
+pool submissions picklable, R013 pool submissions deterministic, R014
+pool chunk functions pure, R015 guarded-by consistency for thread-shared
+attributes, R018 resources released on every path. The ids of the seven
+deleted rules (R005, R008, R010, R011, R016, R017, R019) are retired,
+not reused. Intentional violations carry a ``# repro: noqa-RXXX``
 comment anywhere in the flagged statement (R015 additionally accepts
 ``# repro: guarded-by[lock]``); ``--report-unused-noqa`` (R900) keeps
 those escapes honest.
@@ -65,8 +59,7 @@ from repro.lint.driver import (
     lint_source,
     suppressions,
 )
-from repro.lint.findings import Finding, TextEdit
-from repro.lint.fix import FixReport, apply_edits, fix_sources, unified_diff
+from repro.lint.findings import Finding
 from repro.lint.flow import (
     AbstractValue,
     FlowInfo,
@@ -93,7 +86,6 @@ __all__ = [
     "FileContext",
     "FileFacts",
     "Finding",
-    "FixReport",
     "FlowInfo",
     "FunctionFacts",
     "LintUsageError",
@@ -101,14 +93,11 @@ __all__ = [
     "ProjectContext",
     "Rule",
     "Suppressions",
-    "TextEdit",
     "all_rules",
     "analyze_file",
     "analyze_flow",
-    "apply_edits",
     "build_concurrency",
     "chain_text",
-    "fix_sources",
     "get_rule",
     "iter_python_files",
     "lint_file",
@@ -118,7 +107,6 @@ __all__ = [
     "rule",
     "suppressions",
     "to_sarif",
-    "unified_diff",
     "unit_dimension",
     "unit_suffix",
 ]

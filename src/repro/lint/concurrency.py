@@ -1,10 +1,10 @@
 """repro.lint.concurrency — phase 4: thread-safety & resource lifecycle.
 
-PR 9 made the reproduction a long-lived multi-threaded service (``iris
-serve``: acceptor + worker threads sharing a job table behind
-``self._lock``), which is exactly the layer where a silent race or a
-leaked socket costs the most. This module adds the fourth analysis phase
-on top of the v3 callgraph/summaries engine, plus five rules:
+``iris serve`` made the reproduction a long-lived multi-threaded service
+(acceptor + worker threads sharing a job table behind ``self._lock``),
+which is exactly the layer where a silent race or a leaked socket costs
+the most. This module adds the fourth analysis phase on top of the v3
+callgraph/summaries engine, plus two rules:
 
 **R015 guarded-by inference.** For every class that spawns
 ``threading.Thread``\\ s, infer which ``self._*`` attributes are
@@ -17,23 +17,6 @@ attributes are flagged, with the guarded sites quoted; intentional
 lock-free accesses are blessed per line with ``# repro:
 guarded-by[lock]`` (tracked by ``--report-unused-noqa`` like any noqa).
 
-**R016 blocking-under-lock.** A new ``blocking`` effect (socket
-accept/recv/sendall, ``queue.put``/``get`` in blocking mode,
-``Event.wait``, ``Thread.join``, ``time.sleep``, and the planner entry
-points — a full solve *is* a block from a lock's perspective) is
-extracted per function in :mod:`repro.lint.summaries` and closed
-transitively like every other effect. Any call performed while a lockset
-is non-empty that directly blocks, or reaches blocking code through the
-call graph, is flagged with the full chain.
-
-**R017 lock-order cycles.** Every lock acquisition visible while another
-lock is held — directly nested ``with`` blocks, or a call whose callee
-may transitively acquire — becomes an edge in the may-acquire-after
-graph over canonical lock names. Any strongly connected component of
-two or more locks is a potential deadlock, reported once with the
-acquisition chain of each direction; a re-acquisition of a known
-non-reentrant ``threading.Lock`` is a self-deadlock.
-
 **R018 resource lifecycle.** Must-release analysis for sockets, streams,
 file handles, and execution-backend pools: every acquisition bound to a
 local must reach ``close()``/``terminate()``/``shutdown()`` (or a
@@ -43,38 +26,27 @@ with a class-level release. Acquisitions resolve interprocedurally: a
 helper whose summary says it *returns* a resource makes its callers
 owners.
 
-**R019 thread discipline.** ``threading.Thread`` must be constructed
-``daemon=``-explicit or joined, and ``.wait()`` calls inside ``while``
-worker loops must carry a timeout so a SIGTERM drain cannot hang.
+Blocking calls under a lock, lock-order cycles and threads that outlive
+shutdown are not checked here (R016, R017 and R019 are retired ids):
+the service's run-time stress and shutdown tests cover those classes.
 
 The per-function facts — acquisitions, ``self.*`` accesses and call
 sites, each with the lockset held — come from the one own-scope walk of
-:mod:`repro.lint.summaries`; the cross-file products (entry locksets,
-the lock graph, resolved resource returns) are built per run by
-:func:`build_concurrency` and exposed to rules as
-``ctx.project.concurrency``.
+:mod:`repro.lint.summaries`; the cross-file products (entry locksets and
+resolved resource returns) are built per run by :func:`build_concurrency`
+and exposed to rules as ``ctx.project.concurrency``.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
-from repro.lint.callgraph import function_id, split_function_id, tarjan_scc
+from repro.lint.callgraph import function_id, split_function_id
 from repro.lint.findings import Finding
 from repro.lint.registry import FileContext, rule
-from repro.lint.summaries import (
-    EffectOrigin,
-    FileFacts,
-    FunctionFacts,
-    acquisition_kind_syntactic,
-    blocking_call_violation,
-    canonical_lock,
-    chain_text,
-    is_thread_ctor,
-    propagate_effects,
-)
+from repro.lint.summaries import FileFacts, acquisition_kind_syntactic
 
 __all__ = [
     "ConcurrencyContext",
@@ -96,19 +68,15 @@ class ConcurrencyContext:
     """Phase-4 product: the cross-file lockset and lifecycle facts.
 
     Attached to :class:`repro.lint.project.ProjectContext` as
-    ``.concurrency``; the precomputed findings (``unguarded``,
-    ``cycles``) are replayed by the R015/R017 rule bodies during normal
-    per-file dispatch so suppression and ``--disable`` work unchanged.
+    ``.concurrency``; the precomputed R015 findings (``unguarded``) are
+    replayed by the rule body during normal per-file dispatch so
+    suppression and ``--disable`` work unchanged.
     """
 
-    #: Locks provably held at entry of every call site (must-analysis).
-    entry_locks: dict[str, frozenset[str]] = field(default_factory=dict)
     #: path -> precomputed R015 findings: (line, col, message).
     unguarded: dict[str, list[tuple[int, int, str]]] = field(
         default_factory=dict
     )
-    #: path -> precomputed R017 findings: (line, col, message).
-    cycles: dict[str, list[tuple[int, int, str]]] = field(default_factory=dict)
     #: fid -> resource kind for functions that return a fresh resource.
     resources: dict[str, str] = field(default_factory=dict)
 
@@ -273,164 +241,8 @@ def _guarded_findings(
     return out
 
 
-def _lock_graph(
-    files: Mapping[str, FileFacts],
-    functions: Mapping[str, FunctionFacts],
-    entry: Mapping[str, frozenset[str]],
-    resolve: Callable[[str, str], str | None],
-) -> list[tuple[str, str, str, int, str]]:
-    """May-acquire-after edges: ``(outer, inner, path, line, chain text)``.
-
-    Direct edges come from nested ``with`` blocks; transitive ones from a
-    call made while a lock is held whose callee may acquire (closed
-    bottom-up over the call graph with the same SCC machinery as the v3
-    effect closure, so the chain each edge quotes is deterministic).
-    """
-    # Pseudo-effect closure: "acq:<lock>" propagates like any effect.
-    seed: dict[str, dict[str, EffectOrigin]] = {fid: {} for fid in functions}
-    edges_for_propagation: dict[str, list[tuple[str, str, int]]] = {}
-    for path in sorted(files):
-        for qualname, fn in sorted(files[path].functions.items()):
-            fid = function_id(path, qualname)
-            if fid not in seed:
-                continue
-            for lock, line in fn.acquires:
-                seed[fid].setdefault(
-                    f"acq:{lock}",
-                    EffectOrigin(
-                        f"acq:{lock}",
-                        f"`{lock}` acquired at {path}:{line}",
-                    ),
-                )
-            for target, label, line, locks in fn.calls:
-                if locks is None:
-                    continue
-                callee = resolve(path, target)
-                if callee is not None and callee in functions:
-                    edges_for_propagation.setdefault(fid, []).append(
-                        (callee, label, line)
-                    )
-    closure = propagate_effects(
-        functions, edges_for_propagation, seed_effects=seed
-    )
-
-    graph_edges: list[tuple[str, str, str, int, str]] = []
-    for path in sorted(files):
-        for qualname, fn in sorted(files[path].functions.items()):
-            fid = function_id(path, qualname)
-            inherited = entry.get(fid, frozenset())
-            for outer, inner, line in fn.nested:
-                graph_edges.append(
-                    (
-                        outer,
-                        inner,
-                        path,
-                        line,
-                        f"`{inner}` acquired at {path}:{line} while "
-                        f"holding `{outer}`",
-                    )
-                )
-            for lock, line in fn.acquires:
-                for outer in sorted(inherited):
-                    graph_edges.append(
-                        (
-                            outer,
-                            lock,
-                            path,
-                            line,
-                            f"`{lock}` acquired at {path}:{line} in "
-                            f"`{qualname}()` (entered holding `{outer}`)",
-                        )
-                    )
-            for target, label, line, locks in fn.calls:
-                if locks is None:
-                    continue
-                held = frozenset(locks) | inherited
-                if not held:
-                    continue
-                callee = resolve(path, target)
-                if callee is None:
-                    continue
-                for effect, origin in sorted(
-                    closure.get(callee, {}).items()
-                ):
-                    if not effect.startswith("acq:"):
-                        continue
-                    inner = effect.removeprefix("acq:")
-                    chained = EffectOrigin(
-                        effect, origin.origin, ((label, line), *origin.chain)
-                    )
-                    for outer in sorted(held):
-                        graph_edges.append(
-                            (outer, inner, path, line, chain_text(chained))
-                        )
-    return graph_edges
-
-
-def _cycle_findings(
-    edges: Sequence[tuple[str, str, str, int, str]],
-    lock_kinds: Mapping[str, str],
-) -> dict[str, list[tuple[int, int, str]]]:
-    """Precomputed R017 findings per path, one per cycle."""
-    out: dict[str, list[tuple[int, int, str]]] = {}
-
-    # Self-deadlock: re-acquiring a known non-reentrant lock.
-    seen_self: set[tuple[str, str, int]] = set()
-    for outer, inner, path, line, text in sorted(edges):
-        if outer != inner or lock_kinds.get(inner) != "lock":
-            continue
-        key = (inner, path, line)
-        if key in seen_self:
-            continue
-        seen_self.add(key)
-        out.setdefault(path, []).append(
-            (
-                line,
-                1,
-                f"non-reentrant lock `{inner}` may be re-acquired while "
-                f"already held ({text}); this deadlocks the thread — use "
-                "an RLock or move the inner acquisition out",
-            )
-        )
-
-    graph: dict[str, list[str]] = {}
-    for outer, inner, _path, _line, _text in edges:
-        graph.setdefault(outer, []).append(inner)
-        graph.setdefault(inner, [])
-    for component in tarjan_scc(graph):
-        if len(component) < 2:
-            continue
-        members = set(component)
-        # First edge per direction, by source position.
-        first: dict[tuple[str, str], tuple[str, int, str]] = {}
-        for outer, inner, path, line, text in sorted(
-            edges, key=lambda e: (e[2], e[3], e[0], e[1])
-        ):
-            if outer in members and inner in members and outer != inner:
-                first.setdefault((outer, inner), (path, line, text))
-        if not first:
-            continue
-        directions = "; ".join(
-            f"`{outer}` → `{inner}` ({text})"
-            for (outer, inner), (_p, _l, text) in sorted(first.items())
-        )
-        locks = ", ".join(f"`{lock}`" for lock in sorted(members))
-        home_path, home_line, _ = min(first.values())
-        out.setdefault(home_path, []).append(
-            (
-                home_line,
-                1,
-                f"potential deadlock: lock acquisition order cycle among "
-                f"{locks} — {directions}; pick one global acquisition "
-                "order",
-            )
-        )
-    return out
-
-
 def build_concurrency(
     files: Mapping[str, FileFacts],
-    functions: Mapping[str, FunctionFacts],
     resolve: Callable[[str, str], str | None],
 ) -> ConcurrencyContext:
     """The cross-file lockset/lifecycle products from per-file facts.
@@ -439,113 +251,20 @@ def build_concurrency(
     from ``path`` to a project function id (the same resolution the
     effect closure uses).
     """
-    lock_kinds: dict[str, str] = {}
     all_locks: set[str] = set()
-    for path in sorted(files):
-        facts = files[path]
-        for lock, kind in facts.lock_kinds.items():
-            lock_kinds.setdefault(lock, kind)
-        all_locks.update(facts.lock_kinds)
+    for facts in files.values():
+        all_locks.update(facts.locks)
         for fn in facts.functions.values():
             all_locks.update(lock for lock, _line in fn.acquires)
 
     entry = _entry_lock_fixpoint(files, resolve, frozenset(all_locks))
     return ConcurrencyContext(
-        entry_locks=entry,
         unguarded=_guarded_findings(files, entry),
-        cycles=_cycle_findings(
-            _lock_graph(files, functions, entry, resolve), lock_kinds
-        ),
         resources=_resolve_resources(files, resolve),
     )
 
 
-# -- dispatch-time helpers -----------------------------------------------------
-
-
-def _enclosing_class_name(ctx: FileContext, node: ast.AST) -> str | None:
-    scope = ctx.scope_qualname(node)
-    if scope is None:
-        return None
-    info = ctx.facts.functions.get(scope)
-    return info.class_name if info is not None else None
-
-
-def _held_locks(node: ast.AST, ctx: FileContext) -> list[tuple[str, int]]:
-    """Locks held at ``node`` by lexically enclosing ``with`` blocks."""
-    class_name = _enclosing_class_name(ctx, node)
-    module = ctx.facts.module
-    held: list[tuple[str, int]] = []
-    prev: ast.AST = node
-    current = ctx.parent(node)
-    while current is not None:
-        if isinstance(
-            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            break
-        if isinstance(current, (ast.With, ast.AsyncWith)):
-            items = current.items
-            if isinstance(prev, ast.withitem) and prev in items:
-                # Arrived from inside an item: only earlier items are held.
-                items = items[: items.index(prev)]
-            for item in items:
-                lock = canonical_lock(item.context_expr, class_name, module)
-                if lock is not None:
-                    held.append((lock, current.lineno))
-        prev = current
-        current = ctx.parent(current)
-    held.reverse()
-    return held
-
-
-# -- R016: blocking under lock -------------------------------------------------
-
-
-@rule(
-    "R016",
-    title="no blocking calls under a lock",
-    invariant=(
-        "a thread holding a service lock never parks on the network, a "
-        "queue, another thread, or a planner solve — blocking under a "
-        "lock serializes the daemon and risks deadlock with the very "
-        "threads that would unblock it"
-    ),
-    nodes=(ast.Call,),
-)
-def blocking_under_lock(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-    assert isinstance(node, ast.Call)
-    held = _held_locks(node, ctx)
-    if not held:
-        return
-    locks_text = ", ".join(
-        f"`{lock}` (acquired at line {line})" for lock, line in held
-    )
-    direct = blocking_call_violation(node)
-    if direct is not None:
-        yield ctx.finding(
-            node,
-            "R016",
-            f"`{direct}` may block while holding {locks_text}; move the "
-            "blocking call outside the lock or use a non-blocking form",
-        )
-        return
-    resolved = ctx.resolve_call(node)
-    if resolved is None:
-        return
-    fid, label = resolved
-    origin = ctx.project.effects_of(fid).get("blocking")
-    if origin is None:
-        return
-    yield ctx.finding(
-        node,
-        "R016",
-        f"call to `{label}()` reaches code that may block "
-        f"({chain_text(origin)}) while holding {locks_text}; move the "
-        "blocking work outside the lock",
-    )
-
-
-# -- R015 / R017: precomputed cross-file findings ------------------------------
+# -- R015: precomputed cross-file findings ------------------------------------
 
 
 @rule(
@@ -561,21 +280,6 @@ def blocking_under_lock(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
 def guarded_by(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
     for line, col, message in ctx.project.concurrency.unguarded.get(ctx.path, ()):
         yield Finding(ctx.path, line, col, "R015", message)
-
-
-@rule(
-    "R017",
-    title="lock acquisition order is acyclic",
-    invariant=(
-        "the may-acquire-after relation over all locks is a partial "
-        "order — a cycle means two threads can each hold what the other "
-        "waits for"
-    ),
-    nodes=(ast.Module,),
-)
-def lock_order(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-    for line, col, message in ctx.project.concurrency.cycles.get(ctx.path, ()):
-        yield Finding(ctx.path, line, col, "R017", message)
 
 
 # -- R018: resource lifecycle --------------------------------------------------
@@ -1054,191 +758,3 @@ def _risky_lines(
             continue
         out.append(node.lineno)
     return sorted(set(out))
-
-
-# -- R019: thread discipline ---------------------------------------------------
-
-
-def _has_kwarg(call: ast.Call, name: str) -> bool:
-    return any(kw.arg == name for kw in call.keywords)
-
-
-def _joined_in(scope: ast.AST, var: str) -> bool:
-    for node in ast.walk(scope):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "join"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == var
-        ):
-            return True
-    return False
-
-
-def _is_self_attr(expr: ast.expr, attr: str) -> bool:
-    return (
-        isinstance(expr, ast.Attribute)
-        and expr.attr == attr
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == "self"
-    )
-
-
-def _attr_elements_joined(scope: ast.AST, attr: str) -> bool:
-    """``for t in self.<attr>: t.join(...)`` (or over ``list(self.<attr>)``)."""
-    for node in ast.walk(scope):
-        if _attr_release_call(node, attr):
-            return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "join"
-            and _is_self_attr(node.func.value, attr)
-        ):
-            return True
-        if not isinstance(node, ast.For):
-            continue
-        iterable = node.iter
-        if isinstance(iterable, ast.Call) and iterable.args:
-            iterable = iterable.args[0]
-        if not _is_self_attr(iterable, attr):
-            continue
-        if isinstance(node.target, ast.Name) and _joined_in(node, node.target.id):
-            return True
-    return False
-
-
-@rule(
-    "R019",
-    title="threads are daemon-or-joined; waits carry timeouts",
-    invariant=(
-        "every spawned thread has a shutdown story — marked daemon or "
-        "joined — and no worker loop waits without a timeout, so a "
-        "SIGTERM drain always terminates"
-    ),
-    nodes=(ast.Call,),
-)
-def thread_discipline(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-    assert isinstance(node, ast.Call)
-    if is_thread_ctor(node):
-        yield from _thread_ctor_findings(node, ctx)
-        return
-    func = node.func
-    if not (isinstance(func, ast.Attribute) and func.attr == "wait"):
-        return
-    if node.args or _has_kwarg(node, "timeout"):
-        return
-    # Only waits inside a while loop (a worker loop) are a drain hazard.
-    current = ctx.parent(node)
-    in_while = False
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            break
-        if isinstance(current, ast.While):
-            in_while = True
-            break
-        current = ctx.parent(current)
-    if not in_while:
-        return
-    yield ctx.finding(
-        node,
-        "R019",
-        "`.wait()` without a timeout inside a worker loop can hang a "
-        "SIGTERM drain forever; pass a timeout and re-check the loop "
-        "condition",
-    )
-
-
-def _var_elements_joined(scope: ast.AST, var: str) -> bool:
-    """``for t in threads: t.join(...)`` (or over ``list(threads)``)."""
-    for node in ast.walk(scope):
-        if not isinstance(node, ast.For):
-            continue
-        iterable = node.iter
-        if isinstance(iterable, ast.Call) and iterable.args:
-            iterable = iterable.args[0]
-        if not (isinstance(iterable, ast.Name) and iterable.id == var):
-            continue
-        if isinstance(node.target, ast.Name) and _joined_in(
-            node, node.target.id
-        ):
-            return True
-    return False
-
-
-def _thread_ctor_findings(
-    node: ast.Call, ctx: FileContext
-) -> Iterator[Finding]:
-    if _has_kwarg(node, "daemon"):
-        return  # an explicit daemon decision either way is a shutdown story
-    parent = ctx.parent(node)
-    enclosing: ast.AST | None = parent
-    while enclosing is not None and not isinstance(
-        enclosing, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)
-    ):
-        enclosing = ctx.parent(enclosing)
-    scope: ast.AST | None = enclosing
-
-    # The statement that binds the thread may be several levels up (the
-    # ctor can sit inside a list comprehension or conditional expression).
-    assign: ast.Assign | None = None
-    current = ctx.parent(node)
-    while current is not None and not isinstance(
-        current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)
-    ):
-        if isinstance(current, ast.Assign):
-            assign = current
-            break
-        current = ctx.parent(current)
-
-    if assign is not None and len(assign.targets) == 1:
-        target = assign.targets[0]
-        if isinstance(target, ast.Name):
-            if scope is not None and (
-                _joined_in(scope, target.id)
-                or _var_elements_joined(scope, target.id)
-            ):
-                return
-        elif (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            class_node = _enclosing_class(ctx, node)
-            search: ast.AST | None = (
-                class_node if class_node is not None else scope
-            )
-            if search is not None and _attr_elements_joined(
-                search, target.attr
-            ):
-                return
-    elif (
-        isinstance(parent, ast.Call)
-        and isinstance(parent.func, ast.Attribute)
-        and parent.func.attr == "append"
-    ):
-        receiver = parent.func.value
-        if (
-            isinstance(receiver, ast.Attribute)
-            and isinstance(receiver.value, ast.Name)
-            and receiver.value.id == "self"
-        ):
-            class_node = _enclosing_class(ctx, node)
-            search = class_node if class_node is not None else scope
-            if search is not None and _attr_elements_joined(
-                search, receiver.attr
-            ):
-                return
-        elif isinstance(receiver, ast.Name):
-            if scope is not None and _var_elements_joined(
-                scope, receiver.id
-            ):
-                return
-    yield ctx.finding(
-        node,
-        "R019",
-        "thread is neither daemon nor joined: a non-daemon thread that "
-        "is never joined outlives shutdown and blocks interpreter exit; "
-        "pass daemon=True or join it",
-    )

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.exceptions import ReproError
-from repro.lint.findings import Finding, TextEdit
+from repro.lint.findings import Finding
 from repro.lint.registry import Rule
 
 # Rules live in their own module purely for readability; importing it runs
@@ -158,7 +158,6 @@ class Suppressions:
     """
 
     def __init__(self, source: str, tree: ast.AST | None = None) -> None:
-        self._source = source
         self.by_comment: dict[int, frozenset[str]] = {}
         self._cols: dict[int, int] = {}
         self._labels: dict[int, str] = {}
@@ -211,28 +210,6 @@ class Suppressions:
         """Comment lines that suppressed nothing."""
         return sorted(set(self.by_comment) - self._used)
 
-    def _comment_fix(self, line: int) -> TextEdit | None:
-        """An edit deleting the comment on ``line`` (the R900 autofix).
-
-        A comment alone on its line goes with the whole line; a trailing
-        comment goes along with the whitespace separating it from the code.
-        """
-        col = self._cols.get(line)
-        if col is None:
-            return None
-        lines = self._source.splitlines(keepends=True)
-        if line > len(lines):
-            return None
-        line_start = sum(len(text) for text in lines[: line - 1])
-        text = lines[line - 1]
-        content = text.rstrip("\r\n")
-        prefix = text[: col - 1]
-        if prefix.strip() == "":
-            return TextEdit(line_start, line_start + len(text), "")
-        return TextEdit(
-            line_start + len(prefix.rstrip()), line_start + len(content), ""
-        )
-
     def unused_findings(self, path: str) -> list[Finding]:
         """One ``R900`` finding per suppression that never matched."""
         out = []
@@ -251,7 +228,6 @@ class Suppressions:
                     "R900",
                     f"unused suppression {label!r}: no finding matched; "
                     "delete it so it cannot mask future violations",
-                    fix=self._comment_fix(line),
                 )
             )
         return out

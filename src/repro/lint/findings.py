@@ -3,34 +3,11 @@
 A finding pins one rule violation to a file position. Findings sort by
 (path, line, col, rule id) so reports are stable across runs and across
 the order files were visited in.
-
-Since v3 a finding may carry a :class:`TextEdit` — a byte-exact
-replacement the autofixer (:mod:`repro.lint.fix`) can apply when the fix
-is mechanical (wrap in ``sorted()``, insert a ``*`` marker, delete a
-stale suppression comment). The edit is advisory: it never participates
-in ordering or equality, and reports are identical with or without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True, order=True)
-class TextEdit:
-    """One source replacement: ``source[start:end]`` becomes ``text``.
-
-    Offsets are 0-based character offsets into the file's source string.
-    An insertion has ``start == end``; a deletion has ``text == ""``.
-    """
-
-    start: int
-    end: int
-    text: str
-
-    def apply(self, source: str) -> str:
-        """The source with this single edit applied."""
-        return source[: self.start] + self.text + source[self.end :]
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -42,9 +19,6 @@ class Finding:
     col: int
     rule_id: str
     message: str
-    #: Mechanical autofix, when the rule can offer one (v3). Excluded
-    #: from comparison/hash so findings stay report-stable.
-    fix: TextEdit | None = field(default=None, compare=False)
 
     def format(self) -> str:
         """The canonical one-line report form (``path:line:col: RXXX msg``)."""
@@ -58,5 +32,4 @@ class Finding:
             "col": self.col,
             "rule": self.rule_id,
             "message": self.message,
-            "fixable": self.fix is not None,
         }

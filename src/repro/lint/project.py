@@ -7,20 +7,22 @@ phases:
 :class:`repro.lint.summaries.FileFacts` derivable from its source text
 alone: its functions, imports and scopes, and per function the call
 sites, direct effects, return summary and locksets, with project calls
-recorded *symbolically*.
+recorded *symbolically* — once per call node.
 
 **Phase 2 — project-wide propagation.** The module index resolves every
-symbolic call target to a concrete project function, symbolic return
-references resolve to concrete unit/orderedness facts, effects close
-transitively over the call graph bottom-up by SCC, and the concurrency
-phase (:mod:`repro.lint.concurrency`) builds entry locksets, the lock
-graph and resource returns.
+symbolic call target to a concrete project function (kept per call node
+for the rules), symbolic return references resolve to concrete
+unit/orderedness facts, effects close transitively over the call graph
+bottom-up by SCC, and the concurrency phase
+(:mod:`repro.lint.concurrency`) builds entry locksets and resource
+returns.
 
 **Phase 3 — per-file rule dispatch.** Each file's rules run with a
 *concrete* call resolver installed in the flow pass (a call to a project
 function now carries its resolved return summary) and the
 :class:`ProjectContext` available for the call-site, pool-safety and
-concurrency rules.
+concurrency rules, which look each call's resolution up rather than
+resolving it again.
 """
 
 from __future__ import annotations
@@ -77,6 +79,9 @@ class ProjectContext:
     effects: dict[str, dict[str, EffectOrigin]]
     #: Lockset/lifecycle products (see repro.lint.concurrency).
     concurrency: ConcurrencyContext
+    #: Call node -> (project function id, display label), for every call
+    #: that resolves to a project function.
+    calls: dict[ast.Call, tuple[str, str]]
 
     def resolve_symbolic(self, facts: FileFacts, target: str) -> str | None:
         """Resolve a symbolic ``local:``/``import:`` target to a function id."""
@@ -153,6 +158,14 @@ def _build_project(states: Sequence[_FileState]) -> ProjectContext:
     def resolve(path: str, target: str) -> str | None:
         return resolve_target(target, files[path], index, files)
 
+    calls: dict[ast.Call, tuple[str, str]] = {}
+    for path, facts in files.items():
+        for call, (_scope, resolved) in facts.call_sites.items():
+            if resolved is not None:
+                fid = resolve(path, resolved[0])
+                if fid is not None:
+                    calls[call] = (fid, resolved[1])
+
     local: dict[str, FunctionFacts] = {
         function_id(path, qualname): fn
         for path, facts in files.items()
@@ -201,7 +214,8 @@ def _build_project(states: Sequence[_FileState]) -> ProjectContext:
         index=index,
         functions=final,
         effects=propagate_effects(final, edges, seed_effects=seed),
-        concurrency=build_concurrency(files, final, conc_resolver),
+        concurrency=build_concurrency(files, conc_resolver),
+        calls=calls,
     )
 
 
@@ -212,8 +226,7 @@ def _concrete_resolver(facts: FileFacts, project: ProjectContext) -> CallResolve
     """Phase-3 resolver: project calls return their resolved summaries."""
 
     def resolver(scope_node: ast.AST, call: ast.Call) -> AbstractValue | None:
-        scope = facts.node_qualnames.get(scope_node)
-        resolved = facts.resolve_call_expr(call.func, scope)
+        resolved = facts.resolve_call(call, facts.node_qualnames.get(scope_node))
         if resolved is None:
             return None
         target, label = resolved
@@ -252,7 +265,6 @@ def _dispatch_rules(
     ctx = FileContext(
         path=state.path,
         module_path=state.module_path,
-        source=state.source,
         facts=facts,
         project=project,
         parents=parents,

@@ -13,10 +13,10 @@ the wall clock, so R002 does not apply there).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from repro.lint.findings import Finding, TextEdit
+from repro.lint.findings import Finding
 from repro.lint.flow import AbstractValue, FlowInfo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -35,8 +35,6 @@ class FileContext:
     path: str
     #: Posix-normalized path used for rule exemption matching.
     module_path: str
-    #: Raw source text of the file.
-    source: str
     #: This file's functions, imports and scopes.
     facts: "FileFacts"
     #: Whole-project resolved facts, effects and concurrency products.
@@ -45,21 +43,12 @@ class FileContext:
     parents: dict[ast.AST, ast.AST]
     #: Flow facts with project calls resolved (:mod:`repro.lint.flow`).
     flow: FlowInfo
-    #: Lazy char-offset table for building :class:`TextEdit` fixes.
-    _line_starts: list[int] | None = field(default=None, repr=False)
 
-    def finding(
-        self,
-        node: ast.AST,
-        rule_id: str,
-        message: str,
-        *,
-        fix: TextEdit | None = None,
-    ) -> Finding:
+    def finding(self, node: ast.AST, rule_id: str, message: str) -> Finding:
         """A finding anchored at ``node``'s position in this file."""
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
-        return Finding(self.path, line, col, rule_id, message, fix=fix)
+        return Finding(self.path, line, col, rule_id, message)
 
     def parent(self, node: ast.AST) -> ast.AST | None:
         """The AST parent of ``node`` (None at module level)."""
@@ -68,10 +57,6 @@ class FileContext:
     def value_of(self, node: ast.AST) -> AbstractValue:
         """The flow-inferred abstract value of an expression."""
         return self.flow.value_of(node)
-
-    def returns_of(self, func: ast.AST) -> tuple[tuple[ast.Return, AbstractValue], ...]:
-        """Flow-collected ``return`` statements of a function scope."""
-        return self.flow.returns_of(func)
 
     def is_exempt(self, fragments: Iterable[str]) -> bool:
         """Whether this file matches any exemption path fragment."""
@@ -93,16 +78,11 @@ class FileContext:
         return None
 
     def resolve_call(self, call: ast.Call) -> tuple[str, str] | None:
-        """(function id, display label) a call dispatches to, if resolvable."""
-        scope = self.scope_qualname(call)
-        resolved = self.facts.resolve_call_expr(call.func, scope)
-        if resolved is None:
-            return None
-        target, label = resolved
-        fid = self.project.resolve_symbolic(self.facts, target)
-        if fid is None:
-            return None
-        return fid, label
+        """(function id, display label) a call dispatches to, if resolvable.
+
+        A lookup: phase 2 resolved every call site of the project once.
+        """
+        return self.project.calls.get(call)
 
     def resolve_callable(self, expr: ast.expr, scope: str | None) -> str | None:
         """Project function id a callable *reference* names, if resolvable.
@@ -119,31 +99,6 @@ class FileContext:
         if target is None:
             return None
         return self.project.resolve_symbolic(self.facts, target)
-
-    # -- v3: source offsets for autofix edits ------------------------------
-
-    def offset_of(self, line: int, col: int) -> int:
-        """Char offset of a (1-based line, 0-based col) source position."""
-        if self._line_starts is None:
-            starts = [0]
-            for text_line in self.source.splitlines(keepends=True):
-                starts.append(starts[-1] + len(text_line))
-            self._line_starts = starts
-        starts = self._line_starts
-        assert starts is not None
-        index = min(max(line - 1, 0), len(starts) - 1)
-        return starts[index] + col
-
-    def span_of(self, node: ast.AST) -> tuple[int, int] | None:
-        """(start, end) char offsets of ``node``, if position info exists."""
-        lineno = getattr(node, "lineno", None)
-        end_lineno = getattr(node, "end_lineno", None)
-        end_col = getattr(node, "end_col_offset", None)
-        if lineno is None or end_lineno is None or end_col is None:
-            return None
-        start = self.offset_of(lineno, getattr(node, "col_offset", 0))
-        end = self.offset_of(end_lineno, end_col)
-        return start, end
 
 
 @dataclass(frozen=True)

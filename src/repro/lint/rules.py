@@ -1,4 +1,4 @@
-"""The reprolint domain rules (R001-R014).
+"""The reprolint domain rules R001-R014.
 
 Each rule guards one invariant the planner's correctness rests on — the
 properties the parity, golden-count, and serialization-determinism tests
@@ -10,17 +10,17 @@ R001   no global RNG state (seeded instances only)
 R002   no wall-clock reads outside ``repro.obs``
 R003   no float ``==``/``!=`` on unit-tagged quantities
 R004   no iteration over unordered collections without ``sorted()``
-R005   no module-level mutable state outside the whitelist
 R006   public planner entry points keep config params keyword-only
 R007   no arithmetic/comparison mixing different unit tags
-R008   no non-atomic file writes inside ``repro.store``
 R009   no unordered value reaching a serialization/store-key sink
-R010   function return unit matches its ``_km``/``_db`` name suffix
-R011   obs spans entered via the facade; counter keys deterministic
 R012   pool-submitted callables are picklable (no lambdas/nested defs)
 R013   pool-submitted callables are deterministic (``@worker_safe`` held)
 R014   pool chunk functions perform no hidden I/O or unordered iteration
 =====  ==========================================================
+
+The ids missing from the table (R005, R008, R010, R011) belong to deleted
+rules and stay retired: ``noqa`` comments and SARIF consumers name rules
+by id, so an id never changes meaning.
 
 Since v2 the rules are *flow-sensitive*: the driver's pass 1
 (:mod:`repro.lint.flow`) propagates unit and orderedness tags through
@@ -32,11 +32,11 @@ alias.
 Since v3 they are also *interprocedural*: the project pipeline
 (:mod:`repro.lint.project`) resolves calls across the whole lint set and
 closes determinism effects transitively over the call graph
-(:mod:`repro.lint.summaries`), so R001/R002/R004/R005 fire at a call
-site whose callee reaches the violation three calls deep — the finding
+(:mod:`repro.lint.summaries`), so R001/R002/R004 fire at a call site
+whose callee reaches the violation three calls deep — the finding
 quotes the full chain ("via ``helper()`` at line N → ...") back to the
-root cause. R007/R010 see unit tags through resolved return summaries,
-and R012-R014 check every callable submitted to the execution backends.
+root cause. R007 sees unit tags through resolved return summaries, and
+R012-R014 check every callable submitted to the execution backends.
 Findings that are intentional carry a ``# repro: noqa-RXXX``
 suppression, which matches anywhere in the flagged statement's line
 span; a suppressed (blessed) origin also stops its effect from
@@ -49,7 +49,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.callgraph import function_id
-from repro.lint.findings import Finding, TextEdit
+from repro.lint.findings import Finding
 from repro.lint.flow import (
     AbstractValue,
     Orderedness,
@@ -69,15 +69,6 @@ from repro.lint.summaries import (
 )
 
 
-def _dotted_root(node: ast.expr) -> str | None:
-    """The leftmost name of a dotted attribute chain, or None."""
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 # --- v3 interprocedural helpers ------------------------------------------------
 
 #: Rule id -> the propagated effect whose presence it reports at call sites.
@@ -85,7 +76,6 @@ _RULE_EFFECTS = {
     "R001": "global_rng",
     "R002": "wall_clock",
     "R004": "unordered_iter",
-    "R005": "module_state",
 }
 
 
@@ -94,7 +84,7 @@ def _call_effect_findings(
 ) -> Iterator[Finding]:
     """Call-site finding when the callee transitively has the rule's effect.
 
-    This is how R001/R002/R004/R005 fire at the entry point even when the
+    This is how R001/R002/R004 fire at the entry point even when the
     violation is three calls deep: the effect closure carries the origin
     and the chain of calls it travelled, which the message quotes.
     """
@@ -112,40 +102,6 @@ def _call_effect_findings(
         f"{EFFECT_LABELS[origin.effect]} ({chain_text(origin)}); fix or "
         "bless the origin — every caller inherits the nondeterminism",
     )
-
-
-#: Origin markers that prove a flow value really is a set (not merely a
-#: container tainted by one), making a ``sorted(...)`` wrap meaning-safe.
-_SET_ORIGIN_MARKERS = (
-    "set literal",
-    "set comprehension",
-    "set(...)",
-    "frozenset(...)",
-    "set iteration",
-    "parameter annotated",
-)
-
-
-def _sorted_wrap_fix(
-    expr: ast.expr, value: AbstractValue, ctx: FileContext
-) -> TextEdit | None:
-    """A ``sorted(...)`` wrap for ``expr``, when provably meaning-safe.
-
-    Conservative on purpose: only offered when the expression is a set by
-    shape or by flow origin. A container merely *tainted* by a set (a
-    dict holding sets, say) stays fix-less — wrapping it in ``sorted``
-    would change what the program iterates, not just the order.
-    """
-    safe = _syntactically_unordered(expr) or any(
-        marker in (value.origin or "") for marker in _SET_ORIGIN_MARKERS
-    )
-    if not safe:
-        return None
-    span = ctx.span_of(expr)
-    if span is None:
-        return None
-    start, end = span
-    return TextEdit(start, end, f"sorted({ctx.source[start:end]})")
 
 
 # --- R001: global RNG state ---------------------------------------------------
@@ -384,8 +340,7 @@ _R004_MSG = (
 def _r004_finding(
     node: ast.AST, value: AbstractValue, ctx: FileContext
 ) -> Finding:
-    fix = _sorted_wrap_fix(node, value, ctx) if isinstance(node, ast.expr) else None
-    return ctx.finding(node, "R004", _R004_MSG + value.describe(), fix=fix)
+    return ctx.finding(node, "R004", _R004_MSG + value.describe())
 
 
 def _r004_argument_findings(
@@ -436,7 +391,6 @@ def _r004_argument_findings(
             f"unordered value passed as {name!r} to `{label}()`, which "
             f"iterates it order-sensitively{value.describe()}; sort it "
             "before the call",
-            fix=_sorted_wrap_fix(arg, value, ctx),
         )
 
 
@@ -488,40 +442,6 @@ def no_unordered_iteration(node: ast.AST, ctx: FileContext) -> Iterator[Finding]
         yield _r004_finding(arg, value, ctx)
 
 
-# --- R005: module-level mutable state -----------------------------------------
-
-#: Files allowed to rebind module globals: the PID-pinned hose cache (built
-#: to detect and survive process-pool forks) and the obs tracer facade
-#: (explicitly per-process; worker traces cross the pool via capture/attach).
-_R005_WHITELIST = ("repro/core/hose.py", "repro/obs/tracer.py")
-
-
-@rule(
-    "R005",
-    title="no module-level mutable state",
-    invariant=(
-        "worker processes must not inherit or race on module state; the "
-        "PID-pinned hose cache is the only blessed module-level cache and "
-        "the obs tracer facade the only blessed process-local singleton"
-    ),
-    nodes=(ast.Global, ast.Call),
-    exempt=_R005_WHITELIST,
-)
-def no_module_state(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-    if isinstance(node, ast.Call):
-        yield from _call_effect_findings(node, ctx, "R005")
-        return
-    assert isinstance(node, ast.Global)
-    for name in node.names:
-        yield ctx.finding(
-            node,
-            "R005",
-            f"rebinding module-level {name!r} breaks process-pool isolation; "
-            "only the PID-pinned hose cache (repro.core.hose) and the obs "
-            "tracer facade may hold module state",
-        )
-
-
 # --- R006: keyword-only config params ----------------------------------------
 
 #: Entry-point names whose defaulted parameters must be keyword-only.
@@ -547,24 +467,12 @@ def keyword_only_config(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         return
     args = node.args
     positional = [*args.posonlyargs, *args.args]
-    defaulted = positional[len(positional) - len(args.defaults) :]
-    # The autofix inserts "*, " before the first defaulted parameter. Only
-    # safe when no *args / positional-only / existing keyword-only params
-    # complicate the signature — anything fancier needs a human.
-    fixable = (
-        args.vararg is None and not args.posonlyargs and not args.kwonlyargs
-    )
-    for index, param in enumerate(defaulted):
-        fix = None
-        if fixable and index == 0:
-            anchor = ctx.offset_of(param.lineno, param.col_offset)
-            fix = TextEdit(anchor, anchor, "*, ")
+    for param in positional[len(positional) - len(args.defaults) :]:
         yield ctx.finding(
             param,
             "R006",
             f"config parameter {param.arg!r} of public entry point {name}() "
             "must be keyword-only (move it after '*')",
-            fix=fix,
         )
 
 
@@ -656,78 +564,6 @@ def no_unit_mixing(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         yield ctx.finding(node, "R007", message)
 
 
-# --- R008: atomic writes in repro.store ---------------------------------------
-
-#: ``open()`` mode characters that make a call a write.
-_WRITE_MODE_CHARS = set("wax+")
-
-#: Method names that write a file in one call.
-_WRITE_METHODS = {"write_text", "write_bytes"}
-
-
-def _iter_scope(scope: ast.AST) -> Iterator[ast.AST]:
-    """All descendants of ``scope`` that belong to its own function scope.
-
-    Nested function bodies are skipped — they are dispatched to the rule
-    as scopes of their own — while classes and other compound statements
-    are traversed.
-    """
-    for child in ast.iter_child_nodes(scope):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield child
-        yield from _iter_scope(child)
-
-
-def _open_mode(call: ast.Call) -> str | None:
-    """The literal mode of an ``open()`` call, or None if absent/dynamic."""
-    mode: ast.expr | None = call.args[1] if len(call.args) >= 2 else None
-    for keyword in call.keywords:
-        if keyword.arg == "mode":
-            mode = keyword.value
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        return mode.value
-    return None
-
-
-@rule(
-    "R008",
-    title="atomic writes in repro.store",
-    invariant=(
-        "every artifact-store write lands via a same-directory tmp file "
-        "published with os.replace, so concurrent readers observe either "
-        "the old file or the complete new one — never a torn blob"
-    ),
-    nodes=(ast.Module, ast.FunctionDef, ast.AsyncFunctionDef),
-)
-def atomic_store_writes(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-    if "repro/store" not in ctx.module_path:
-        return
-    writes: list[tuple[ast.Call, str]] = []
-    for child in _iter_scope(node):
-        if not isinstance(child, ast.Call):
-            continue
-        func = child.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            mode = _open_mode(child)
-            if mode is not None and set(mode) & _WRITE_MODE_CHARS:
-                writes.append((child, f"open(..., {mode!r})"))
-        elif isinstance(func, ast.Attribute):
-            if func.attr in _WRITE_METHODS:
-                writes.append((child, f".{func.attr}(...)"))
-            elif func.attr == "replace" and _dotted_root(func) == "os":
-                # The scope publishes through os.replace: its tmp-file
-                # writes are the atomic idiom, not torn-write hazards.
-                return
-    for call, label in writes:
-        yield ctx.finding(
-            call,
-            "R008",
-            f"{label} in repro.store without os.replace in the same scope; "
-            "write a same-directory tmp file and publish it with os.replace",
-        )
-
-
 # --- R009: unordered data escaping into serialization --------------------------
 
 #: Callables whose output bytes depend on input iteration order: the
@@ -783,101 +619,6 @@ def no_unordered_serialization(node: ast.AST, ctx: FileContext) -> Iterator[Find
                 f"unordered value reaches serialization sink {fname}()"
                 f"{value.describe()}; its iteration order would leak into "
                 "canonical bytes — sort it into a list first",
-                fix=_sorted_wrap_fix(arg, value, ctx),
-            )
-
-
-# --- R010: return unit consistent with the function's name suffix --------------
-
-
-@rule(
-    "R010",
-    title="return unit matches name suffix",
-    invariant=(
-        "a function named *_km returns kilometres — callers convert based "
-        "on the suffix alone, so a body that returns a value tagged with a "
-        "different unit silently corrupts every downstream computation"
-    ),
-    nodes=(ast.FunctionDef, ast.AsyncFunctionDef),
-)
-def return_unit_matches_suffix(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    declared = unit_suffix(node.name)
-    if declared is None:
-        return
-    for return_stmt, value in ctx.returns_of(node):
-        if value.unit is None or value.unit == declared:
-            continue
-        yield ctx.finding(
-            return_stmt,
-            "R010",
-            f"{node.name}() is suffixed '_{declared}' but this return is "
-            f"tagged '_{value.unit}'; convert through repro.units or "
-            "rename the function",
-        )
-
-
-# --- R011: obs span/counter discipline ------------------------------------------
-
-#: Span types that must never be constructed directly outside repro.obs:
-#: hand-built records bypass the tracer's nesting stack and the disabled-
-#: tracing NULL_SPAN fast path.
-_SPAN_TYPES = frozenset({"Span", "SpanRecord"})
-
-
-@rule(
-    "R011",
-    title="obs span/counter discipline",
-    invariant=(
-        "trace trees are well-nested and counter namespaces deterministic: "
-        "spans come from tracer.span()/obs.span() and are entered with "
-        "'with'; counter keys never embed unordered iteration, or shard "
-        "merges stop being comparable across runs"
-    ),
-    nodes=(ast.Call,),
-    exempt=("repro/obs/",),
-)
-def obs_span_discipline(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-    assert isinstance(node, ast.Call)
-    func = node.func
-    fname = (
-        func.id
-        if isinstance(func, ast.Name)
-        else func.attr
-        if isinstance(func, ast.Attribute)
-        else None
-    )
-    if fname in _SPAN_TYPES:
-        yield ctx.finding(
-            node,
-            "R011",
-            f"direct {fname}(...) construction bypasses the tracer facade; "
-            "open spans with obs.span()/tracer.span() so nesting and the "
-            "disabled fast path hold",
-        )
-        return
-    if fname == "span":
-        # A span statement that is never entered records nothing: the
-        # duration only exists between __enter__ and __exit__.
-        parent = ctx.parent(node)
-        if isinstance(parent, ast.Expr):
-            yield ctx.finding(
-                node,
-                "R011",
-                "span(...) is never entered, so it records nothing; use "
-                "'with ... span(...):' around the timed block",
-            )
-        return
-    if fname == "incr" and node.args:
-        key = node.args[0]
-        value = _unordered_value(key, ctx)
-        if value is not None:
-            yield ctx.finding(
-                key,
-                "R011",
-                f"counter key built from unordered iteration{value.describe()};"
-                " keys must be deterministic or shard merges diverge run to "
-                "run",
             )
 
 
@@ -895,7 +636,7 @@ _SUBMIT_FUNCS = {"map_in_chunks": 1}
 _POOL_EXEMPT = ("repro/core/engine.py",)
 
 #: Effects that make pool work nondeterministic per chunk (R013).
-_POOL_DETERMINISM = ("global_rng", "wall_clock", "module_state")
+_POOL_DETERMINISM = ("global_rng", "wall_clock")
 
 #: Effects that make a chunk function impure (R014).
 _POOL_PURITY = ("io", "unordered_iter")
@@ -1025,9 +766,9 @@ def pool_picklable(node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
     title="pool submissions deterministic",
     invariant=(
         "chunked execution must produce the same plan at every worker "
-        "count; a submitted callable that reaches global RNG state, the "
-        "wall clock, or module state makes chunk results depend on which "
-        "worker ran them and in what order"
+        "count; a submitted callable that reaches global RNG state or the "
+        "wall clock makes chunk results depend on which worker ran them "
+        "and in what order"
     ),
     nodes=(ast.Call, ast.FunctionDef, ast.AsyncFunctionDef),
     exempt=_POOL_EXEMPT,

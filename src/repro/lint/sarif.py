@@ -8,10 +8,7 @@ natively, file-and-line, instead of living in a job log.
 Kept deliberately minimal: one ``run``, the reprolint tool descriptor
 with every registered rule (id, short description, the invariant it
 protects as the full description), and one ``result`` per finding with a
-``physicalLocation``. Findings with an autofix do *not* embed SARIF
-``fixes`` — the reprolint edit model is char-offset based and ``iris
-lint --fix`` already applies it; a lossy re-encoding would only invite
-drift.
+``physicalLocation``.
 """
 
 from __future__ import annotations

@@ -10,17 +10,20 @@ records:
 **call sites** with a *symbolic* target (``local:helper`` or
 ``import:repro.core.hose.solve``), resolved against the whole lint set
 by :mod:`repro.lint.project` through :mod:`repro.lint.callgraph`; each
-site keeps the locks held around it for the concurrency phase.
+site keeps the locks held around it for the concurrency phase. Every
+call node is resolved once, from the scope of the walk that owns it
+(module-level calls from the module scope), and the result is kept per
+node in :attr:`FileFacts.call_sites`, so later phases and the rules
+look a call up instead of resolving it again.
 
 **determinism effects**
     ``global_rng`` (mutates the shared module RNG — R001's invariant),
-    ``wall_clock`` (reads environment time — R002), ``module_state``
-    (rebinds module globals — R005), ``unordered_iter`` (iterates an
-    unordered collection order-sensitively — R004), ``io`` (touches
-    the filesystem — no intra-procedural rule, but pool-submitted
-    callables must be pure: R014), and ``blocking`` (may park the
-    thread — R016). Effects are extracted *directly* per function and
-    then propagated transitively bottom-up over the call graph
+    ``wall_clock`` (reads environment time — R002), ``unordered_iter``
+    (iterates an unordered collection order-sensitively — R004), and
+    ``io`` (touches the filesystem — no intra-procedural rule, but
+    pool-submitted callables must be pure: R014). Effects are
+    extracted *directly* per function and then propagated transitively
+    bottom-up over the call graph
     (:func:`propagate_effects`), each carrying an origin ("``random.seed``
     at ``path:line``") and the call chain it travelled ("via
     ``helper()`` at line N") so a finding three calls up still quotes
@@ -36,15 +39,14 @@ site keeps the locks held around it for the concurrency phase.
     flow to the caller.
 
 **locksets and resources** for :mod:`repro.lint.concurrency`: every
-``with <lock>:`` acquisition (and the locks already held), ``self.*``
-data accesses with their lockset, thread construction, and whether a
-return hands back a fresh resource.
+``with <lock>:`` acquisition, the lock objects a file constructs,
+``self.*`` data accesses with their lockset, thread construction, and
+whether a return hands back a fresh resource.
 
 **blessed effects** do not propagate: an effect whose origin statement
 carries the matching ``# repro: noqa-RXXX`` or sits in a path the rule
-exempts (``repro/obs/`` owns the wall clock, the PID-pinned hose cache
-owns its globals) is vouched for by its owner and is not a violation to
-surface at call sites.
+exempts (``repro/obs/`` owns the wall clock) is vouched for by its owner
+and is not a violation to surface at call sites.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.lint.callgraph import (
     decorator_names,
@@ -76,7 +78,6 @@ __all__ = [
     "FileFacts",
     "FunctionFacts",
     "analyze_file",
-    "blocking_call_violation",
     "canonical_lock",
     "chain_text",
     "propagate_effects",
@@ -87,20 +88,16 @@ __all__ = [
 EFFECT_RULES: dict[str, str | None] = {
     "global_rng": "R001",
     "wall_clock": "R002",
-    "module_state": "R005",
     "unordered_iter": "R004",
     "io": None,
-    "blocking": "R016",
 }
 
 #: Human phrasing per effect, used by call-site findings.
 EFFECT_LABELS: dict[str, str] = {
     "global_rng": "mutates global RNG state",
     "wall_clock": "reads the wall clock",
-    "module_state": "rebinds module-level state",
     "unordered_iter": "iterates an unordered collection",
     "io": "performs filesystem I/O",
-    "blocking": "may block indefinitely",
 }
 
 #: ``random`` module attributes that do NOT touch the shared module RNG.
@@ -135,17 +132,6 @@ _OS_IO = frozenset(
 
 #: Path-object methods that read or write files in one call.
 _PATH_IO = frozenset({"write_text", "write_bytes", "read_text", "read_bytes"})
-
-#: Socket methods that park the calling thread on the network (R016).
-_SOCKET_BLOCKING = frozenset(
-    {"accept", "recv", "recvfrom", "recv_into", "sendall"}
-)
-
-#: Planner entry points: a full solve can take seconds to minutes, which
-#: is "blocking" from the perspective of a thread holding a service lock.
-_PLANNER_ENTRY = frozenset(
-    {"plan_topology", "plan_region", "plan_robust", "run_sweep"}
-)
 
 
 @dataclass(frozen=True)
@@ -206,8 +192,6 @@ class FunctionFacts:
     return_call: str | None = None
     #: ``(lock, line)`` for every ``with <lock>:`` acquisition.
     acquires: list[tuple[str, int]] = field(default_factory=list)
-    #: ``(outer, inner, line)`` for directly nested acquisitions.
-    nested: list[tuple[str, str, int]] = field(default_factory=list)
     #: ``(attr, line, col, locks held, "read"|"write")`` for ``self.*``
     #: data accesses (methods and lock-ish attributes excluded).
     accesses: list[tuple[str, int, int, tuple[str, ...], str]] = field(
@@ -241,12 +225,18 @@ class FileFacts:
     module: str
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
     imports: dict[str, str] = field(default_factory=dict)
-    #: Canonical lock name -> constructor kind ("lock", "rlock", ...).
-    lock_kinds: dict[str, str] = field(default_factory=dict)
+    #: Canonical names of the lock objects this file constructs.
+    locks: set[str] = field(default_factory=set)
     #: FunctionDef/AsyncFunctionDef node -> qualname.
     node_qualnames: dict[ast.AST, str] = field(default_factory=dict, repr=False)
     #: Per-scope name -> qualname tables ("" is module scope).
     scope_names: dict[str, dict[str, str]] = field(default_factory=dict, repr=False)
+    #: Call node -> (scope it was resolved from, :meth:`resolve_call_expr`
+    #: result). After :func:`analyze_file` every call holds the
+    #: resolution from the scope of the walk that owns it.
+    call_sites: dict[
+        ast.Call, tuple[str | None, tuple[str, str] | None]
+    ] = field(default_factory=dict, repr=False)
 
     def resolve_name(self, name: str, scope: str | None) -> str | None:
         """Symbolic target of a bare ``name`` visible from ``scope``.
@@ -285,6 +275,21 @@ class FileFacts:
                 dotted = ".".join([self.imports[root], *rest])
                 return f"import:{dotted}", ".".join(parts)
         return None
+
+    def resolve_call(
+        self, call: ast.Call, scope: str | None
+    ) -> tuple[str, str] | None:
+        """:meth:`resolve_call_expr` of ``call.func``, once per node and scope.
+
+        A call already resolved from ``scope`` is looked up; otherwise it
+        is resolved and the result replaces the one kept for the node.
+        """
+        kept = self.call_sites.get(call)
+        if kept is not None and kept[0] == scope:
+            return kept[1]
+        resolved = self.resolve_call_expr(call.func, scope)
+        self.call_sites[call] = (scope, resolved)
+        return resolved
 
 
 # -- direct-effect predicates (shared with the intra-procedural rules) --------
@@ -331,72 +336,6 @@ def wall_clock_violation(node: ast.Attribute) -> str | None:
     return None
 
 
-def _receiver_text(node: ast.expr) -> str:
-    """Best-effort dotted text of a call receiver (``self._queue``)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def _kw(node: ast.Call, name: str) -> ast.expr | None:
-    for kw in node.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
-
-
-def _is_false(expr: ast.expr | None) -> bool:
-    return isinstance(expr, ast.Constant) and expr.value is False
-
-
-def blocking_call_violation(node: ast.Call) -> str | None:
-    """The potentially-indefinite wait a call performs (``"Queue.get"``).
-
-    This is the direct-detection half of the ``blocking`` effect (R016):
-    socket accept/recv/sendall, ``queue.put``/``get`` in blocking mode,
-    ``Event.wait``/``Condition.wait``, ``Thread.join``, ``time.sleep``,
-    and the planner entry points (a full solve is a block from the
-    perspective of anything holding a service lock). Queue and join
-    detection is receiver-name driven — ``self._queue.get()`` counts,
-    ``params.get("key")`` does not.
-    """
-    func = node.func
-    if isinstance(func, ast.Name):
-        if func.id in _PLANNER_ENTRY:
-            return f"{func.id}(...)"
-        return None
-    if not isinstance(func, ast.Attribute):
-        return None
-    receiver = _receiver_text(func.value).lower()
-    root = _dotted_root(func)
-    if func.attr in _SOCKET_BLOCKING:
-        return f".{func.attr}"
-    if root == "socket" and func.attr == "create_connection":
-        return "socket.create_connection"
-    if root == "time" and func.attr == "sleep":
-        return "time.sleep"
-    if func.attr in _PLANNER_ENTRY:
-        return f".{func.attr}(...)"
-    if func.attr in ("get", "put") and "queue" in receiver:
-        first = node.args[0] if node.args else None
-        if _is_false(first) or _is_false(_kw(node, "block")):
-            return None
-        return f"Queue.{func.attr}"
-    if func.attr == "wait":
-        return ".wait"
-    if func.attr == "join" and not node.args and not node.keywords:
-        return ".join"
-    if func.attr == "join" and (
-        "thread" in receiver or "worker" in receiver
-    ):
-        return ".join"
-    return None
-
-
 def io_call_violation(node: ast.Call) -> str | None:
     """The filesystem operation a call performs (``"open"``), if any."""
     func = node.func
@@ -421,14 +360,10 @@ _LOCKISH = ("lock", "mutex")
 #: Bare names that are lock-ish without containing a fragment.
 _LOCKISH_EXACT = frozenset({"cv", "cond", "condition"})
 
-#: threading constructors -> lock kind (reentrancy matters for R017).
-_LOCK_CTORS = {
-    "Lock": "lock",
-    "RLock": "rlock",
-    "Condition": "condition",
-    "Semaphore": "semaphore",
-    "BoundedSemaphore": "semaphore",
-}
+#: ``threading`` constructors whose result is a lock object.
+_LOCK_TYPES = frozenset(
+    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
+)
 
 #: ``<module>.<attr>`` socket calls that hand back an open resource.
 _SOCKET_ACQ = frozenset({"socket", "create_connection"})
@@ -467,22 +402,30 @@ def canonical_lock(
     return ".".join(parts)
 
 
-def lock_kind_of(value: ast.expr) -> str | None:
-    """The threading-lock kind a constructor call builds, if any."""
+def _constructs_lock(value: ast.expr) -> bool:
+    """Whether ``value`` is a ``threading`` lock constructor call."""
     if not isinstance(value, ast.Call):
-        return None
+        return False
     func = value.func
-    name = None
     if isinstance(func, ast.Name):
-        name = func.id
-    elif isinstance(func, ast.Attribute):
+        return func.id in _LOCK_TYPES
+    if isinstance(func, ast.Attribute):
         parts = dotted_parts(func)
-        if parts and parts[0] == "threading":
-            name = func.attr
-    return _LOCK_CTORS.get(name) if name is not None else None
+        return bool(parts) and parts[0] == "threading" and func.attr in _LOCK_TYPES
+    return False
 
 
-def is_thread_ctor(call: ast.Call) -> bool:
+def _record_locks(facts: FileFacts, stmt: ast.Assign, class_name: str | None) -> None:
+    """Add the locks an assignment constructs to ``facts.locks``."""
+    if not _constructs_lock(stmt.value):
+        return
+    for target in stmt.targets:
+        lock = canonical_lock(target, class_name, facts.module)
+        if lock is not None:
+            facts.locks.add(lock)
+
+
+def _is_thread_ctor(call: ast.Call) -> bool:
     func = call.func
     if isinstance(func, ast.Name):
         return func.id == "Thread"
@@ -729,7 +672,6 @@ class _FunctionWalk:
             "__init__",
             "__del__",
         )
-        self.lock_kinds: dict[str, str] = {}
         self.has_yield = False
         self.yield_origin: str | None = None
 
@@ -775,8 +717,6 @@ class _FunctionWalk:
             )
             if lock is not None:
                 self.fn.acquires.append((lock, node.lineno))
-                for outer in held:
-                    self.fn.nested.append((outer, lock, node.lineno))
                 if lock not in held:
                     held = (*held, lock)
         for stmt in node.body:
@@ -796,7 +736,7 @@ class _FunctionWalk:
             )
 
     def _record_call(self, node: ast.Call, held: tuple[str, ...] | None) -> None:
-        resolved = self.facts.resolve_call_expr(node.func, self.fn.qualname)
+        resolved = self.facts.resolve_call(node, self.fn.qualname)
         if resolved is not None:
             target, label = resolved
             self.fn.calls.append((target, label, node.lineno, held))
@@ -805,14 +745,11 @@ class _FunctionWalk:
         fn = self.fn
         if isinstance(node, ast.Call):
             self._record_call(node, held)
-            if held is not None and is_thread_ctor(node):
+            if held is not None and _is_thread_ctor(node):
                 fn.spawns_thread = True
             io = io_call_violation(node)
             if io is not None:
                 self._effect("io", io, node.lineno)
-            blocking = blocking_call_violation(node)
-            if blocking is not None:
-                self._effect("blocking", blocking, node.lineno)
         elif isinstance(node, ast.Attribute):
             rng = rng_attribute_violation(node)
             if rng is not None:
@@ -822,19 +759,10 @@ class _FunctionWalk:
                 self._effect("wall_clock", clock, node.lineno)
             if held is not None:
                 self._visit_access(node, held)
-        elif isinstance(node, ast.Global):
-            self._effect(
-                "module_state", f"global {', '.join(node.names)}", node.lineno
-            )
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             self._visit_for(node)
         elif isinstance(node, ast.Assign):
-            kind = lock_kind_of(node.value)
-            if kind is not None:
-                for target in node.targets:
-                    lock = canonical_lock(target, fn.class_name, self.facts.module)
-                    if lock is not None:
-                        self.lock_kinds.setdefault(lock, kind)
+            _record_locks(self.facts, node, fn.class_name)
         elif isinstance(node, ast.Return) and node.value is not None:
             self._visit_return(node.value)
         elif isinstance(node, ast.YieldFrom):
@@ -889,7 +817,7 @@ class _FunctionWalk:
         if kind is not None:
             self.fn.returns_resource = f"direct:{kind}"
             return
-        resolved = self.facts.resolve_call_expr(value.func, self.fn.qualname)
+        resolved = self.facts.resolve_call(value, self.fn.qualname)
         if resolved is not None:
             self.fn.returns_resource = f"call:{resolved[0]}"
 
@@ -898,8 +826,7 @@ def _symbolic_resolver(facts: FileFacts) -> CallResolver:
     """Flow-pass resolver: claim project calls with a symbolic ``call_ref``."""
 
     def resolver(scope_node: ast.AST, call: ast.Call) -> AbstractValue | None:
-        scope = facts.node_qualnames.get(scope_node)
-        resolved = facts.resolve_call_expr(call.func, scope)
+        resolved = facts.resolve_call(call, facts.node_qualnames.get(scope_node))
         if resolved is None:
             return None
         target, label = resolved
@@ -921,8 +848,10 @@ def analyze_file(
 
     The declaration pass indexes functions and imports, the flow pass
     runs with project calls claimed symbolically, and one own-scope walk
-    per function fills its record. ``is_blessed`` (default: nothing is)
-    keeps noqa'd or path-exempt origins out of the effects.
+    per function fills its record. The calls outside every function are
+    then resolved from the module scope, so ``call_sites`` covers every
+    call in the file. ``is_blessed`` (default: nothing is) keeps noqa'd
+    or path-exempt origins out of the effects.
     """
     facts = FileFacts(path=path, module=module_name_for_path(path))
     _Declarations(facts).visit(tree)
@@ -933,20 +862,27 @@ def analyze_file(
         facts.node_qualnames.items(), key=lambda kv: kv[1]
     ):
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        walk = _FunctionWalk(
+        _FunctionWalk(
             facts, facts.functions[qualname], flow, origin_path, blessed
-        )
-        walk.run(node)
-        facts.lock_kinds.update(walk.lock_kinds)
+        ).run(node)
     # Module-level lock constructions (`_LOCK = threading.Lock()`).
     for stmt in getattr(tree, "body", ()):
-        kind = lock_kind_of(stmt.value) if isinstance(stmt, ast.Assign) else None
-        if kind is not None:
-            for target in stmt.targets:
-                lock = canonical_lock(target, None, facts.module)
-                if lock is not None:
-                    facts.lock_kinds.setdefault(lock, kind)
+        if isinstance(stmt, ast.Assign):
+            _record_locks(facts, stmt, None)
+    for call in _module_calls(tree):
+        facts.resolve_call(call, None)
     return facts
+
+
+def _module_calls(node: ast.AST) -> Iterator[ast.Call]:
+    """The calls under ``node`` outside every ``def`` (their walks own
+    the rest, decorators and defaults included)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Call):
+            yield child
+        yield from _module_calls(child)
 
 
 # -- propagation --------------------------------------------------------------

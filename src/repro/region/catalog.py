@@ -62,14 +62,19 @@ def fiber_map_ensemble(
     """
     if count < 1:
         raise RegionError("ensemble needs at least one map")
-    out = []
+    return [_ensemble_map(i, seed) for i in range(count)]
+
+
+def _ensemble_map(index: int, seed: int) -> tuple[FiberMap, float]:
+    """Map ``index`` of the ensemble seeded ``seed``, with its extent.
+
+    Its seed and size hint depend on ``index`` alone, so one map can be
+    generated without the ones before it.
+    """
+    map_seed = _MAP_SEED_BASE + seed * 1_000 + index
     hints = ("small", "medium", "large")
-    for i in range(count):
-        rng = random.Random(_MAP_SEED_BASE + seed * 1_000 + i)
-        config = _map_config(rng, hints[i % len(hints)])
-        fmap = generate_fiber_map(seed=_MAP_SEED_BASE + seed * 1_000 + i, config=config)
-        out.append((fmap, config.extent_km))
-    return out
+    config = _map_config(random.Random(map_seed), hints[index % len(hints)])
+    return generate_fiber_map(seed=map_seed, config=config), config.extent_km
 
 
 def make_region(
@@ -89,8 +94,9 @@ def make_region(
     ``max_attempts`` times, which mirrors how the randomized evaluation
     would simply resample.
     """
-    maps = fiber_map_ensemble(count=map_index + 1, seed=seed)
-    base_map, extent = maps[map_index]
+    if map_index < 0:
+        raise RegionError(f"map index must be non-negative, got {map_index}")
+    base_map, extent = _ensemble_map(map_index, seed)
     if placement_seed is None:
         placement_seed = _PLACEMENT_SEED_BASE + map_index * 101 + n_dcs
 

@@ -122,37 +122,25 @@ def place_dcs(
     )
 
     placed: list[str] = []
-    placed_points: list[Point] = []
-    dist_maps: dict[str, dict[str, float]] = {}
-    available = list(range(len(candidates)))
+    # A candidate's verdict against a placed DC never changes (each DC's
+    # distance map is taken once, right after it is attached), so every
+    # (candidate, DC) pair is checked once: candidates a new DC rules out
+    # leave ``feasible`` for good, and the rest keep the running minimum
+    # of their distance to the placed DCs.
+    feasible = list(range(len(candidates)))
+    nearest_geo: dict[int, float] = {}
 
     for index in range(count):
-        feasible: list[int] = []
-        weights: list[float] = []
-        for ci in available:
-            point = candidates[ci]
-            if placed_points:
-                nearest_geo = min(point.distance_to(p) for p in placed_points)
-                if nearest_geo < config.min_separation_km:
-                    continue
-                reach_ok = all(
-                    candidate_fiber_distance(stubs[ci], dist_maps[dc])
-                    <= config.sla_fiber_km
-                    for dc in placed
-                )
-                if not reach_ok:
-                    continue
-                weights.append(1.0 / max(nearest_geo, 1e-3))
-            else:
-                weights.append(1.0)
-            feasible.append(ci)
-
         if not feasible:
             raise RegionError(
                 f"no feasible candidate for DC {index + 1} of {count} "
                 f"(seed {seed}); feasible area exhausted"
             )
-        chosen = rng.choices(feasible, weights=weights[: len(feasible)], k=1)[0]
+        if placed:
+            weights = [1.0 / max(nearest_geo[ci], 1e-3) for ci in feasible]
+        else:
+            weights = [1.0] * len(feasible)
+        chosen = rng.choices(feasible, weights=weights, k=1)[0]
         point = candidates[chosen]
         name = f"DC{index + 1}"
         attach_dc(
@@ -164,9 +152,21 @@ def place_dcs(
             stub_route_factor=config.stub_route_factor,
         )
         placed.append(name)
-        placed_points.append(point)
-        dist_maps[name] = fmap.dijkstra(name)[0]
-        available.remove(chosen)
+        if len(placed) == count:
+            break
+        dist_map = fmap.dijkstra(name)[0]
+        still_feasible: list[int] = []
+        for ci in feasible:
+            if ci == chosen:
+                continue
+            geo = candidates[ci].distance_to(point)
+            if geo < config.min_separation_km:
+                continue
+            if candidate_fiber_distance(stubs[ci], dist_map) > config.sla_fiber_km:
+                continue
+            nearest_geo[ci] = min(nearest_geo.get(ci, geo), geo)
+            still_feasible.append(ci)
+        feasible = still_feasible
 
     return placed
 

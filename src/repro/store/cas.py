@@ -22,8 +22,8 @@ or a wrong hit; the caller replans and the next put heals the entry.
 :meth:`~PlanStore.gc` parse the same head.
 
 Crash safety is the whole design: a put is one write to a same-directory
-tmp file that lands via ``os.replace`` (atomic on POSIX), an invariant
-reprolint rule R008 machine-checks for this package. Writers share no
+tmp file that lands via ``os.replace`` (atomic on POSIX), and a blob torn
+anyway fails the SHA-256 check and reads as a corrupt miss. Writers share no
 file but their own blob, so concurrent writers of distinct keys never
 lose one another's work, and two writers putting the same key converge
 on identical bytes. A crash can leave a stale ``*.tmp`` file behind;

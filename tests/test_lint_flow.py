@@ -1,7 +1,7 @@
 """repro.lint.flow: lattice algebra and the per-scope dataflow walk.
 
 These tests exercise the flow engine directly — the rule-level behavior it
-enables (R003/R004/R007/R009/R010) is covered in ``test_lint.py``. Here we
+enables (R003/R004/R007/R009) is covered in ``test_lint.py``. Here we
 pin the lattice semantics the rules rely on: joins degrade and never
 invent, unit algebra follows the link-budget conventions, orderedness
 taints through containers, and scopes are genuinely independent.

@@ -94,28 +94,6 @@ def entry(items):
     h1(items)
 """
 
-R005_DIRECT = "x = 0\ndef bump():\n    global x\n    x += 1\n"
-R005_DEEP = """\
-_count = 0
-
-
-def h3():
-    global _count
-    _count += 1
-
-
-def h2():
-    h3()
-
-
-def h1():
-    h2()
-
-
-def entry():
-    h1()
-"""
-
 R007_DIRECT = "total = span_km + loss_db\n"
 R007_DEEP = """\
 def h3():
@@ -142,7 +120,6 @@ class TestDepthThreeParity:
             ("R001", R001_DIRECT, R001_DEEP),
             ("R002", R002_DIRECT, R002_DEEP),
             ("R004", R004_DIRECT, R004_DEEP),
-            ("R005", R005_DIRECT, R005_DEEP),
             ("R007", R007_DIRECT, R007_DEEP),
         ],
     )
@@ -160,7 +137,6 @@ class TestDepthThreeParity:
             ("R001", R001_DEEP, "random.seed"),
             ("R002", R002_DEEP, "time.time"),
             ("R004", R004_DEEP, "set"),
-            ("R005", R005_DEEP, "_count"),
         ],
     )
     def test_deep_finding_quotes_the_origin_chain(self, rule_id, deep, sink):

@@ -365,6 +365,58 @@ class TestWorkerThreads:
         assert len(one) == 12
         assert four == one
 
+    def test_requests_answer_while_a_cold_plan_blocks(
+        self, toy_region, monkeypatch
+    ):
+        """A worker never holds the service lock across a plan: while its
+        cold plan is parked on an event, ``stats``, ``ping`` and the
+        job's own ``status`` still answer."""
+        import repro.service.daemon as daemon_mod
+
+        entered = threading.Event()
+        release = threading.Event()
+
+        class ParkedPlanner(daemon_mod.IrisPlanner):
+            def plan(self):
+                entered.set()
+                release.wait(timeout=120)
+                return super().plan()
+
+        monkeypatch.setattr(daemon_mod, "IrisPlanner", ParkedPlanner)
+        service = PlannerService(ServiceConfig(workers=1))
+        service._start_workers()
+        replies: list[dict] = []
+        asker = None
+        try:
+            submit = service.handle(_submit_request(toy_region))
+            assert submit["ok"], submit
+            assert entered.wait(timeout=60)
+
+            def ask():
+                for op in ("stats", "ping"):
+                    replies.append(service.handle({"op": op}))
+                replies.append(
+                    service.handle({"op": "status", "job_id": submit["job_id"]})
+                )
+
+            asker = threading.Thread(target=ask, daemon=True)
+            asker.start()
+            asker.join(timeout=10)
+            assert not asker.is_alive(), "a request waited on the parked plan"
+            release.set()
+            result = service.handle(
+                {"op": "result", "job_id": submit["job_id"], "timeout_s": 60}
+            )
+        finally:
+            release.set()
+            if asker is not None:
+                asker.join(timeout=60)
+            service.close()
+        assert [r["ok"] for r in replies] == [True, True, True], replies
+        assert replies[0]["op"] == "stats" and replies[0]["queue_depth"] == 0
+        assert replies[2]["state"] == "running"
+        assert result["ok"] and result["outcome"] == "cold", result
+
 
 def _answer(service, region, delta=None):
     """Submit one request and wait for its successful result."""
