@@ -42,7 +42,7 @@ from repro.cost.estimator import estimate_cost
 from repro.designs.base import Design, available_designs, get_design
 from repro.obs import SpanRecord, profile_plan
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "api",

@@ -577,8 +577,9 @@ class PlanTimings:
         Scenarios actually evaluated (after pruning).
     ``hose_lookups``
         Hose max-flow lookups of the capacity phase, counted by the
-        job's own chunks (one per scenario and used duct), so the count
-        does not depend on the worker count or on other jobs.
+        job's own chunks (one per scenario and used duct whose pair set
+        differs from its parent scenario's), so the count does not
+        depend on the worker count or on other jobs.
     ``backend`` / ``jobs``
         Which execution backend ran the plan (``"serial"`` or
         ``"process"``), with how many workers.

@@ -10,7 +10,7 @@ realistic maps.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.region.fibermap import Duct
 
@@ -42,11 +42,3 @@ def scenario_count(n_ducts: int, tolerance: int) -> int:
         total += c
     return total
 
-
-def extensions(
-    scenario: Scenario, candidate_ducts: Iterable[Duct]
-) -> Iterator[Scenario]:
-    """Scenarios formed by cutting one more duct from ``candidate_ducts``."""
-    for duct in candidate_ducts:
-        if duct not in scenario:
-            yield scenario | {duct}

@@ -7,10 +7,12 @@ by its capacity) -> pair arcs -> (ingress side, capped) -> sink. The max flow
 is the worst-case traffic any hose-compliant traffic matrix can push across
 the edge.
 
-A region plan asks for tens of thousands of these max-flows, and failure
-scenarios that differ by a duct cut or two mostly leave an edge the same
-pair set, so :func:`hose_capacity` memoizes the value per (pair set, DC
-capacities) in a bounded per-process cache; a miss solves from scratch
+Algorithm 1 sizes a child failure scenario only on the ducts whose pair
+set differs from its parent scenario's (:mod:`repro.core.topology`), yet
+sibling and cousin scenarios keep meeting the same sets, and Algorithm 2
+and the cut-through greedy size sets of their own, so
+:func:`hose_capacity` memoizes the value per (pair set, DC capacities) in
+a bounded per-process cache; a miss solves from scratch
 (:func:`_hose_max_flow`). Threads share the memo (the planner daemon's
 workers do): a hit is a plain dict read, and a miss evicts and inserts
 under the cache's own lock. The key holds the DC capacities, so a
@@ -241,9 +243,9 @@ def hose_capacity(
     ``oriented_pairs`` is the (left, right) list from
     :func:`oriented_pairs_through_edge`; ``dc_fibers`` the per-DC capacity.
 
-    The planner calls this tens of thousands of times on tiny bipartite
-    graphs, so the value is memoized per process (see
-    :func:`hose_cache_stats`); a miss solves from scratch.
+    The planner calls this thousands of times on tiny bipartite graphs,
+    so the value is memoized per process (see :func:`hose_cache_stats`);
+    a miss solves from scratch.
     """
     pairs = frozenset(oriented_pairs)
     if not pairs:

@@ -11,8 +11,6 @@ multiplexed onto whichever fibers carry live demand.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.core.plan import TopologyPlan
 from repro.region.fibermap import Duct, RegionSpec, duct_key
 
@@ -38,8 +36,3 @@ def residual_pair_count(region: RegionSpec) -> int:
     """The paper's headline overhead: one residual fiber-pair per DC pair."""
     n = len(region.dcs)
     return n * (n - 1) // 2
-
-
-def residual_span_total(residual: Mapping[Duct, int]) -> int:
-    """Total residual (fiber-pair, span) leases."""
-    return sum(residual.values())

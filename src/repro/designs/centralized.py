@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from repro.cost.estimator import Inventory
 from repro.exceptions import InfeasibleRegionError, RegionError
 from repro.region.fibermap import Duct, RegionSpec, duct_key
-from repro.units import rtt_ms
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class CentralizedDesign:
         out: dict[tuple[str, str], tuple[str, ...]] = {}
         dcs = self.region.dcs
         for hub in self.hubs:
-            lengths, pred = fmap.dijkstra(hub, dcs)
+            lengths, pred, _ = fmap.dijkstra(hub, dcs)
             for dc in dcs:
                 if dc not in lengths:
                     raise InfeasibleRegionError(
@@ -82,10 +81,6 @@ class CentralizedDesign:
             self.spoke_length_km(a, hub) + self.spoke_length_km(hub, b)
             for hub in self.hubs
         )
-
-    def pair_rtt_ms(self, a: str, b: str) -> float:
-        """Round-trip propagation latency via the better hub."""
-        return rtt_ms(self.pair_distance_km(a, b))
 
     def max_pair_distance_km(self) -> float:
         """The worst DC-hub-DC fiber distance (the SLA-relevant figure)."""

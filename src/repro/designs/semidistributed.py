@@ -20,7 +20,6 @@ from typing import Sequence
 from repro.cost.estimator import Inventory
 from repro.exceptions import RegionError
 from repro.region.fibermap import Duct, RegionSpec, duct_key
-from repro.units import rtt_ms
 
 
 @dataclass(frozen=True)
@@ -78,10 +77,6 @@ class SemiDistributedDesign:
             + fmap.fiber_distance(za.hub, zb.hub)
             + fmap.fiber_distance(zb.hub, b)
         )
-
-    def pair_rtt_ms(self, a: str, b: str) -> float:
-        """Round-trip latency between two DCs."""
-        return rtt_ms(self.pair_distance_km(a, b))
 
     def max_pair_distance_km(self) -> float:
         """Worst DC-DC fiber distance (the SLA-relevant figure)."""

@@ -46,10 +46,12 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-#: Optional hook the interprocedural layer installs: given the enclosing
-#: scope node and a call expression, return the abstract value the call
-#: produces (usually a symbolic ``call_ref`` value), or None to fall back
-#: to the builtin heuristics below.
+#: Optional hook the interprocedural layer installs: given the call's
+#: nearest enclosing function def (the module node outside every function;
+#: a lambda or class body resolves names from the function around it) and
+#: a call expression, return the abstract value the call produces (usually
+#: a symbolic ``call_ref`` value), or None to fall back to the builtin
+#: heuristics below.
 CallResolver = Callable[[ast.AST, ast.Call], Optional["AbstractValue"]]
 
 __all__ = [
@@ -217,9 +219,11 @@ def analyze_flow(
     through untouched.
     """
     info = FlowInfo()
-    queue: list[ast.AST] = [tree]
+    #: (scope, nearest enclosing function def or the module).
+    queue: list[tuple[ast.AST, ast.AST]] = [(tree, tree)]
     while queue:
-        _ScopeAnalyzer(info, queue.pop(), queue, call_resolver).run()
+        scope, owner = queue.pop()
+        _ScopeAnalyzer(info, scope, owner, queue, call_resolver).run()
     return info
 
 
@@ -308,11 +312,18 @@ class _ScopeAnalyzer:
         self,
         info: FlowInfo,
         scope: ast.AST,
-        queue: list[ast.AST],
+        owner: ast.AST,
+        queue: list[tuple[ast.AST, ast.AST]],
         call_resolver: CallResolver | None = None,
     ) -> None:
         self.info = info
         self.scope = scope
+        #: The scope calls resolve from (see :data:`CallResolver`).
+        self.owner = (
+            scope
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else owner
+        )
         self.queue = queue
         self.call_resolver = call_resolver
         self.env: _Env = {}
@@ -509,7 +520,7 @@ class _ScopeAnalyzer:
         if stmt.returns is not None:
             self._eval(stmt.returns)
         self._bind(stmt.name, UNKNOWN_VALUE)
-        self.queue.append(stmt)
+        self.queue.append((stmt, self.owner))
 
     _exec_AsyncFunctionDef = _exec_FunctionDef
 
@@ -521,7 +532,7 @@ class _ScopeAnalyzer:
         for keyword in stmt.keywords:
             self._eval(keyword.value)
         self._bind(stmt.name, UNKNOWN_VALUE)
-        self.queue.append(stmt)
+        self.queue.append((stmt, self.owner))
 
     def _exec_Global(self, stmt: ast.Global) -> None:
         for name in stmt.names:
@@ -719,7 +730,7 @@ class _ScopeAnalyzer:
         args = expr.args
         for default in (*args.defaults, *filter(None, args.kw_defaults)):
             self._eval(default)
-        self.queue.append(expr)
+        self.queue.append((expr, self.owner))
         return UNKNOWN_VALUE
 
     def _eval_Await(self, expr: ast.Await) -> AbstractValue:
@@ -755,7 +766,7 @@ class _ScopeAnalyzer:
         line = expr.lineno
 
         if self.call_resolver is not None:
-            resolved = self.call_resolver(self.scope, expr)
+            resolved = self.call_resolver(self.owner, expr)
             if resolved is not None:
                 return resolved
         if fname in ("set", "frozenset"):

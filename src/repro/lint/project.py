@@ -225,8 +225,9 @@ def _build_project(states: Sequence[_FileState]) -> ProjectContext:
 def _concrete_resolver(facts: FileFacts, project: ProjectContext) -> CallResolver:
     """Phase-3 resolver: project calls return their resolved summaries."""
 
-    def resolver(scope_node: ast.AST, call: ast.Call) -> AbstractValue | None:
-        resolved = facts.resolve_call(call, facts.node_qualnames.get(scope_node))
+    def resolver(owner: ast.AST, call: ast.Call) -> AbstractValue | None:
+        # ``owner`` is the call's nearest enclosing function (or module).
+        resolved = facts.resolve_call(call, facts.node_qualnames.get(owner))
         if resolved is None:
             return None
         target, label = resolved

@@ -825,8 +825,9 @@ class _FunctionWalk:
 def _symbolic_resolver(facts: FileFacts) -> CallResolver:
     """Flow-pass resolver: claim project calls with a symbolic ``call_ref``."""
 
-    def resolver(scope_node: ast.AST, call: ast.Call) -> AbstractValue | None:
-        resolved = facts.resolve_call(call, facts.node_qualnames.get(scope_node))
+    def resolver(owner: ast.AST, call: ast.Call) -> AbstractValue | None:
+        # ``owner`` is the call's nearest enclosing function (or module).
+        resolved = facts.resolve_call(call, facts.node_qualnames.get(owner))
         if resolved is None:
             return None
         target, label = resolved

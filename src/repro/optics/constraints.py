@@ -128,10 +128,6 @@ class PathProfile:
         )
         return [first, second]
 
-    def unamplified_runs_km(self) -> list[float]:
-        """Fiber distance of each unamplified run (TC1's quantity)."""
-        return [run.fiber_km for run in self.runs()]
-
     def with_amp_after_span(self, index: int | None) -> "PathProfile":
         """This profile with the in-line amplifier (re)positioned."""
         return PathProfile(self.span_lengths_km, index)

@@ -216,11 +216,13 @@ class FiberMap:
         source: str,
         targets: Iterable[str] = (),
         cut: Collection[Duct] = (),
-    ) -> tuple[dict[str, float], dict[str, str]]:
+    ) -> tuple[dict[str, float], dict[str, str], bool]:
         """Dijkstra from ``source`` without the ``cut`` ducts (canonical
         keys), stopped once every node in ``targets`` has settled; with no
         targets, every reachable node settles. Returns the settled nodes'
-        distances, in settle order, and every reached node's predecessor.
+        distances, in settle order, every reached node's predecessor, and
+        whether the search met a tie: a relaxation whose distance exactly
+        equalled the node's tentative one.
 
         The tie-breaks are networkx's (``single_source_dijkstra``):
         neighbours relax in adjacency order, heap entries are ``(dist,
@@ -228,7 +230,11 @@ class FiberMap:
         improvement, and distances are summed as ``dist + length_km``. A
         settled node's distance and predecessor never change again, so
         stopping early returns the same routes to the targets as a full
-        search. Raises :class:`RegionError` for an unknown ``source``.
+        search. A search without a tie found, for every settled node, the
+        one route of least length; Algorithm 1's enumeration reuses such
+        routes in failure scenarios that leave them intact (see
+        :mod:`repro.core.topology`). Raises :class:`RegionError` for an
+        unknown ``source``.
         """
         adjacency = self._adj
         if source not in adjacency:
@@ -238,6 +244,7 @@ class FiberMap:
         pred: dict[str, str] = {}
         fringe: list[tuple[float, int, str]] = [(0, 0, source)]
         pushes = 1
+        tied = False
         waiting = set(targets)
         while fringe:
             d, _, v = heappop(fringe)
@@ -257,7 +264,10 @@ class FiberMap:
                     pred[u] = v
                     heappush(fringe, (du, pushes, u))
                     pushes += 1
-        return dist, pred
+                # Exact on purpose: a tie is an equal sum, nothing looser.
+                elif du == seen[u]:  # repro: noqa-R003
+                    tied = True
+        return dist, pred, tied
 
     def shortest_path(
         self, a: str, b: str, exclude_ducts: Iterable[Duct] = ()
@@ -270,7 +280,7 @@ class FiberMap:
         """
         self._node(b)
         cut = _canonical(exclude_ducts)
-        dist, pred = self.dijkstra(a, (b,), cut)
+        dist, pred, _ = self.dijkstra(a, (b,), cut)
         if b not in dist:
             raise InfeasibleRegionError(
                 f"no fiber path from {a!r} to {b!r} with ducts {sorted(cut)} cut",
@@ -286,7 +296,7 @@ class FiberMap:
         self, source: str, exclude_ducts: Iterable[Duct] = ()
     ) -> tuple[dict[str, float], dict[str, list[str]]]:
         """Dijkstra distances and paths from ``source`` to every node."""
-        dist, pred = self.dijkstra(source, (), _canonical(exclude_ducts))
+        dist, pred, _ = self.dijkstra(source, (), _canonical(exclude_ducts))
         return dist, {node: _route(pred, source, node) for node in dist}
 
     def subgraph_without(self, failed_ducts: Iterable[Duct]) -> Any:

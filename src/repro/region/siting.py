@@ -41,13 +41,6 @@ class ServiceArea:
     mask: tuple[bool, ...]
     area_km2: float
 
-    @property
-    def feasible_fraction(self) -> float:
-        """Fraction of sampled candidate sites that are permissible."""
-        if not self.mask:
-            return 0.0
-        return sum(self.mask) / len(self.mask)
-
 
 def _sample(
     fmap: FiberMap,
@@ -169,22 +162,3 @@ def render_service_area(
         grid[row[cy]][col[cx]] = "D"
     return "\n".join("".join(r) for r in reversed(grid))
 
-
-def flexibility_gain(
-    fmap: FiberMap,
-    hubs: Sequence[str],
-    extent_km: float,
-    dcs: Sequence[str] | None = None,
-    sla_fiber_km: float = SLA_MAX_FIBER_KM,
-    spacing_km: float = 2.0,
-) -> float:
-    """Fig 6's metric: distributed service area / centralized service area."""
-    distributed = distributed_service_area(
-        fmap, extent_km, dcs=dcs, sla_fiber_km=sla_fiber_km, spacing_km=spacing_km
-    )
-    centralized = centralized_service_area(
-        fmap, hubs, extent_km, sla_fiber_km=sla_fiber_km, spacing_km=spacing_km
-    )
-    if centralized.area_km2 == 0:
-        return float("inf") if distributed.area_km2 > 0 else 1.0
-    return distributed.area_km2 / centralized.area_km2

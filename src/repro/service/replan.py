@@ -59,11 +59,15 @@ always falls back to an honest cold evaluation. The check itself is one
 single-pair run of the planner's Dijkstra kernel, stopped once ``v``
 settles, far cheaper than the full all-pairs evaluation it saves.
 
-Everything the oracle declines is recomputed cold by the normal backend
-fan-out; the capacity phase then runs unmodified over the (identical)
-path sets, served by the per-process hose cache, which the old plan's
-run left warm for exactly these instances; only the genuinely new flow
-graphs are solved. Nothing is evicted from that cache here: it keys each
+Everything the oracle declines is recomputed by the normal backend
+fan-out. An answered scenario carries no tie certificate, so its
+children search every source; a declined child of a searched parent
+reuses that parent's certified searches, as in a cold plan (see
+:mod:`repro.core.topology`). The capacity phase then sizes each child
+scenario against its recorded parent, answered or not, looking up only
+the pair sets that changed, in the per-process hose cache that the old
+plan's run left warm for exactly these instances; only the genuinely new
+flow graphs are solved. Nothing is evicted from that cache here: it keys each
 instance by the DC capacities too, so a resized or detached DC's old
 entries are never hit again and age out through its FIFO bound, and a
 patch running next to other jobs never mutates state they read.
@@ -188,7 +192,7 @@ class DeltaPathOracle:
         if u not in self.check_map:
             return False
         cut = {duct_key(a, b) for a, b in scenario}
-        dist, _ = self.check_map.dijkstra(u, (v,), cut)
+        dist = self.check_map.dijkstra(u, (v,), cut)[0]
         return v in dist and dist[v] < self.length_km - _STRICT_EPS
 
 

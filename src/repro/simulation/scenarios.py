@@ -351,17 +351,6 @@ def run_robust_comparison(
     )
 
 
-def sweep_change_intervals(
-    intervals_s: list[float],
-    base: ScenarioConfig,
-) -> list[ScenarioResult]:
-    """The Fig 17 x-axis sweep at one (utilization, change-bound) panel."""
-    return [
-        run_comparison(replace(base, change_interval_s=interval))
-        for interval in intervals_s
-    ]
-
-
 def repeat_comparison(
     base: ScenarioConfig, seeds: list[int]
 ) -> list[ScenarioResult]:

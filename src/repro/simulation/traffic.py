@@ -38,10 +38,6 @@ class TrafficMatrix:
         """All pairs carrying weight, canonically ordered."""
         return sorted(self.weights)
 
-    def weight(self, a: str, b: str) -> float:
-        """This pair's share of regional traffic."""
-        return self.weights.get(pair_key(a, b), 0.0)
-
     def dc_load_share(self, dc: str) -> float:
         """Fraction of regional traffic entering or leaving ``dc``."""
         return sum(w for pair, w in self.weights.items() if dc in pair)

@@ -104,4 +104,4 @@ class TestTopLevelExports:
         assert repro.sweep is sweep
         assert repro.simulate is simulate
         assert repro.PlannerConfig is PlannerConfig
-        assert repro.__version__ == "1.15.0"
+        assert repro.__version__ == "1.16.0"

@@ -83,34 +83,40 @@ class TestGoldenObservability:
         plan, _ = traced_plan
         timings = plan.topology.timings
         assert timings.scenarios_evaluated == 217
-        assert timings.hose_lookups == 4433  # the capacity phase's own count
+        assert timings.hose_lookups == 1220  # the capacity phase's own count
 
     def test_capacity_phase_hit_miss_split(self, traced_plan):
         """The capacity phase from a cold cache: its per-lookup events
-        give the exact hit/miss split of this job's lookups."""
+        give the exact hit/miss split of this job's lookups. Only the
+        (scenario, duct) pair sets that differ from the parent scenario's
+        are looked up (1,220 of 4,433), and every distinct one still is,
+        so the misses are the 78 distinct flow graphs."""
         _, record = traced_plan
         (capacity,) = [r for r in record.walk() if r.name == "plan.capacity"]
-        assert capacity.total("hose.cache_hit") == 4355
+        assert capacity.total("hose.cache_hit") == 1142
         assert capacity.total("hose.cache_miss") == 78
-        assert capacity.total("hose.lookups") == 4433
+        assert capacity.total("hose.lookups") == 1220
 
     def test_trace_work_totals(self, traced_plan):
         _, record = traced_plan
         assert record.total("paths.scenarios") == 217
         assert record.total("scenarios.evaluated") == 217
-        # Capacity (4,433) + cut-through (20: one per distinct pair set).
-        assert record.total("hose.lookups") == 4453
+        # Capacity (1,220) + cut-through (20: one per distinct pair set).
+        assert record.total("hose.lookups") == 1240
 
     def test_per_path_work_totals(self, traced_plan):
-        """Per-path work is done once per distinct path: one Dijkstra per
-        DC with a higher-named DC left to route to (4 of 5), one
+        """Per-path work is done once per distinct path: a scenario runs
+        one Dijkstra per DC with a higher-named DC left to route to (4 of
+        5) unless its parent scenario's search from that DC met no tie
+        and avoids the new cut (379 of 217 x 4 = 868; none tied), one
         EffectivePath per distinct route, one cut-through record per
         distinct effective path, one validation check per distinct
         effective path (104 of 2,170 keys). The greedy takes 8 rounds and
         computes a candidate's cost only when its keys, or its site's
         amplifiers, changed since it was last scored."""
         _, record = traced_plan
-        assert record.total("enumerate.dijkstra_runs") == 217 * 4
+        assert record.total("enumerate.dijkstra_runs") == 379
+        assert record.total("enumerate.tied_searches") == 0
         assert record.total("amplifiers.paths_built") == 104
         assert record.total("cutthrough.paths_evaluated") == 144
         assert record.total("cutthrough.rounds") == 8
@@ -123,13 +129,13 @@ class TestGoldenObservability:
         cut-through phases), each once, from scratch."""
         _, record = traced_plan
         assert record.total("hose.cache_miss") == 92
-        assert record.total("hose.cache_hit") == 4453 - 92
+        assert record.total("hose.cache_hit") == 1240 - 92
 
     def test_flow_value_distribution(self, traced_plan):
         _, record = traced_plan
         assert record.counter_totals("hose.flow.") == {
-            "hose.flow.fibers[le_8]": 4140,
-            "hose.flow.fibers[le_16]": 312,
+            "hose.flow.fibers[le_8]": 1083,
+            "hose.flow.fibers[le_16]": 156,
             "hose.flow.fibers[le_32]": 1,
         }
 

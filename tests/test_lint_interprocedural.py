@@ -281,6 +281,31 @@ def run():
 """
         assert only_project("R004", [("pkg/mod.py", source)]) == []
 
+    @pytest.mark.parametrize(
+        "iteration",
+        [
+            "    return [y for y in pick()]\n",
+            "    g = lambda: [y for y in pick()]\n    return g\n",
+            "    class Holder:\n        ys = [y for y in pick()]\n    return Holder\n",
+        ],
+        ids=["function", "lambda", "class-body"],
+    )
+    def test_nested_helper_resolves_from_the_enclosing_function(self, iteration):
+        """A call in a lambda or a class body sees the enclosing
+        function's nested helpers, as a plain comprehension does."""
+        source = (
+            "def f(items):\n"
+            "    def pick():\n"
+            "        return set(items)\n"
+            + iteration
+        )
+        line = next(
+            i for i, text in enumerate(source.splitlines(), 1) if "in pick()" in text
+        )
+        findings = only_project("R004", [("pkg/mod.py", source)])
+        assert [(f.rule_id, f.line) for f in findings] == [("R004", line)]
+        assert "`pick()`" in findings[0].message
+
 
 POOL_PREFIX = "from repro.core.engine import get_backend\n"
 

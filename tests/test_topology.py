@@ -4,10 +4,13 @@ import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro import obs
 from repro.core.failures import Scenario, all_failure_scenarios, scenario_count
+from repro.core.hose import hose_capacity, oriented_pairs_through_edge
 from repro.core.topology import (
     compute_scenario_paths,
     enumerate_scenario_paths,
+    enumerate_scenario_tree,
     plan_topology,
     prune_overlong_ducts,
 )
@@ -18,8 +21,10 @@ from repro.region.fibermap import (
     FiberMap,
     OperationalConstraints,
     RegionSpec,
+    duct_key,
     pair_key,
 )
+from repro.units import IRIS_MAX_DUCT_KM
 
 from tests.conftest import build_toy_map
 
@@ -214,6 +219,31 @@ class TestDijkstraKernel:
         assert compute_scenario_paths(fmap, cut) == {("A", "B"): ("A", "H2", "B")}
         _assert_matches_networkx(fmap, cut)
 
+    def test_a_tied_search_runs_again_in_every_child(self):
+        """A child reuses a source's paths only if the parent's search
+        from it met no tie. Here A's search ties at B (over H1 or H2) and
+        B's does not; cutting B-C, which only B's path uses, must search
+        from A again too: the root's 2 searches, then A in each of the 4
+        children and B in the B-C child, 7 in all (6 if the tie were
+        ignored, 10 without reuse)."""
+        fmap = self._diamond(True)
+        fmap.add_dc("C", 30.0, 10.0)
+        fmap.add_duct("A", "C", length_km=22.0)
+        fmap.add_duct("B", "C", length_km=5.0)
+        with obs.tracing("tie") as tracer:
+            tree = enumerate_scenario_tree(fmap, 1)
+        record = tracer.record()
+        assert set(tree.parents) == {
+            Scenario({duct}) for duct in [("A", "C"), ("A", "H1"), ("B", "C"), ("B", "H1")]
+        }
+        assert record.total("enumerate.dijkstra_runs") == 7
+        # A at the root, in the A-C child and in the B-C child; B there too.
+        assert record.total("enumerate.tied_searches") == 4
+        for scenario, paths in tree.paths.items():
+            assert list(paths.items()) == list(
+                compute_scenario_paths(fmap, scenario).items()
+            )
+
 
 class TestPrunedEnumeration:
     def test_matches_brute_force_on_small_region(self):
@@ -243,6 +273,82 @@ class TestPrunedEnumeration:
         spec_pruned = plan_topology(region, prune_enumeration=True)
         spec_brute = plan_topology(region, prune_enumeration=False)
         assert dict(spec_pruned.edge_capacity) == dict(spec_brute.edge_capacity)
+
+
+def _full_sizing(dc_fibers, scenario_paths):
+    """The capacity phase without reuse: every (scenario, used duct) sized
+    at the hose max-flow of the pairs crossing it."""
+    need: dict = {}
+    for paths in scenario_paths.values():
+        used = {duct_key(u, v) for path in paths.values() for u, v in zip(path, path[1:])}
+        for duct in sorted(used):
+            value = hose_capacity(oriented_pairs_through_edge(duct, paths), dc_fibers)
+            need[duct] = max(need.get(duct, 0), value)
+    return need
+
+
+def _assert_reuse_matches_cold(region):
+    """Every scenario the planner enumerates has the paths, in the same
+    order, that a cold search of it finds; its capacities are the full
+    per-(scenario, duct) sizing's. A region that fails must fail in a
+    scenario whose cold search raises the same error."""
+    constraints = region.constraints
+    pruned = prune_overlong_ducts(
+        region.fiber_map, min(constraints.max_span_km, IRIS_MAX_DUCT_KM)
+    )
+    try:
+        plan = plan_topology(region)
+    except InfeasibleRegionError as exc:
+        with pytest.raises(InfeasibleRegionError) as cold:
+            compute_scenario_paths(pruned, exc.scenario, constraints.sla_fiber_km)
+        assert str(cold.value) == str(exc)
+        return
+    for scenario, paths in plan.scenario_paths.items():
+        assert list(paths.items()) == list(
+            compute_scenario_paths(pruned, scenario, constraints.sla_fiber_km).items()
+        )
+    assert dict(plan.edge_capacity) == _full_sizing(
+        region.dc_fibers, plan.scenario_paths
+    )
+
+
+class TestScenarioTreeReuse:
+    """Children reuse their parents' searches and capacities; neither may
+    change a path or a capacity."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_dcs=st.integers(min_value=3, max_value=6),
+        tolerance=st.integers(min_value=1, max_value=2),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_cold_on_generated_regions(self, seed, n_dcs, tolerance):
+        try:
+            instance = make_region(
+                map_index=0, n_dcs=n_dcs, seed=seed, failure_tolerance=tolerance
+            )
+        except RegionError:
+            assume(False)
+        region = instance.spec
+        # The copy lists some neighbours in another order, so its ties,
+        # and with them its certificates, can differ.
+        for fmap in (region.fiber_map, region.fiber_map.copy()):
+            _assert_reuse_matches_cold(
+                RegionSpec(
+                    fiber_map=fmap,
+                    dc_fibers=region.dc_fibers,
+                    constraints=region.constraints,
+                )
+            )
+
+    @pytest.mark.statistical
+    @pytest.mark.parametrize("n_dcs", [5, 10, 15])
+    def test_matches_cold_on_the_catalog(self, n_dcs):
+        for map_index in range(10):
+            region = make_region(
+                map_index, n_dcs, dc_fibers=8, failure_tolerance=2
+            ).spec
+            _assert_reuse_matches_cold(region)
 
 
 class TestPlanTopologyToy:
